@@ -7,16 +7,16 @@ isolation case study of Section 5.4).
 """
 
 from repro.frontend.errors import FrontendError, LexerError, ParserError
-from repro.frontend.lexer import Lexer, Token, TokenKind, tokenize
+from repro.frontend.lexer import Token, TokenKind, scan, tokenize
 from repro.frontend.parser import Parser, parse_program, parse_expression
 
 __all__ = [
     "FrontendError",
     "LexerError",
     "ParserError",
-    "Lexer",
     "Token",
     "TokenKind",
+    "scan",
     "tokenize",
     "Parser",
     "parse_program",

@@ -1,16 +1,24 @@
 """Lexer for the annotated P4 dialect.
 
-Produces a flat list of :class:`Token` objects with source spans.  The
-lexer is deliberately simple (single pass, no backtracking); all
+Produces a flat list of :class:`Token` objects with source spans.  All
 context-sensitive decisions -- e.g. whether ``<`` opens a security
 annotation or is a comparison -- are made by the parser.
+
+One master regular expression does the scanning: each match is the trivia
+(whitespace and comments) in front of a token plus the token itself, and
+the name of the alternative that matched is the token's category.  Line
+and column come from a line-start table (:func:`line_starts`), not from a
+character-by-character walk, so :func:`scan` can start at any offset of a
+text.  Lexing a whole file and re-lexing one edited region of it (see
+:meth:`repro.workspace.session.Workspace.edit`) run the same function.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import List
+import re
+from bisect import bisect_right
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.frontend.errors import LexerError
 from repro.syntax.source import Position, SourceSpan
@@ -46,22 +54,6 @@ KEYWORDS = frozenset(
     }
 )
 
-#: Multi-character operators, longest first so maximal munch works.
-_MULTI_CHAR_OPERATORS = (
-    "<<",
-    ">>",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-)
-
-#: ``?`` only ever appears as the short spelling of an ``infer`` security
-#: annotation (``<bit<8>, ?>``); the parser rejects it anywhere else.
-_SINGLE_CHAR_TOKENS = frozenset("{}()[]<>,;:.=+-*/%&|^~!@?")
-
 
 class TokenKind(enum.Enum):
     """Lexical category of a token."""
@@ -73,15 +65,14 @@ class TokenKind(enum.Enum):
     EOF = "end-of-file"
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     """A single token: its kind, source text, value, and span."""
 
     kind: TokenKind
     text: str
     span: SourceSpan
-    value: int | None = None
-    width: int | None = None
+    value: Optional[int] = None
+    width: Optional[int] = None
 
     def is_punct(self, text: str) -> bool:
         return self.kind is TokenKind.PUNCT and self.text == text
@@ -93,148 +84,156 @@ class Token:
         return f"{self.kind.value} {self.text!r}"
 
 
-class Lexer:
-    """Single-pass lexer over a source string."""
+#: Trivia, then exactly one token alternative.  Python's ``\w`` is
+#: ``str.isalnum()`` plus ``_``, so word and number bodies follow the
+#: dialect's rules exactly; a non-ASCII first character is classified in
+#: :func:`scan` (``isalpha`` starts a word, ``isdigit`` a number).  The
+#: last two alternatives always match, so the scan never backtracks: an
+#: ``/*`` that reaches the ``comment`` alternative is unterminated (a
+#: terminated one is trivia), and ``other`` is an unexpected character.
+#: ``?`` only ever spells an ``infer`` annotation (``<bit<8>, ?>``); the
+#: parser rejects it anywhere else.
+_TOKEN_RE = re.compile(
+    r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )*
+    (?: (?P<word>[A-Za-z_]\w*)
+      | (?P<number>[0-9]\w*)
+      | (?P<punct><< | >> | == | != | <= | >= | && | \|\|
+                 | [{}()\[\]<>,;:.=+\-*%&|^~!@?] | /(?!\*))
+      | (?P<unicode>[^\W\x00-\x7f]\w*)
+      | (?P<comment>/\*)
+      | (?P<other>.)
+      | (?P<eof>\Z)
+    )
+    """,
+    re.DOTALL | re.VERBOSE,
+)
+#: Group numbers of the alternatives; everything past ``_PUNCT`` is rare.
+_WORD, _NUMBER, _PUNCT, _UNICODE, _COMMENT, _OTHER, _EOF = range(1, 8)
 
-    def __init__(self, source: str, filename: str = "<input>") -> None:
-        self._source = source
-        self._filename = filename
-        self._offset = 0
-        self._line = 1
-        self._column = 1
+_NEWLINE = re.compile("\n")
 
-    # -- public API ----------------------------------------------------------
+_IDENT = TokenKind.IDENT
+_KEYWORD = TokenKind.KEYWORD
+_INT = TokenKind.INT
+_PUNCT_KIND = TokenKind.PUNCT
 
-    def tokenize(self) -> List[Token]:
-        """Lex the whole input, appending a trailing EOF token."""
-        tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self._at_end():
-                tokens.append(
-                    Token(TokenKind.EOF, "", self._point_span(), None)
+#: ``tuple.__new__`` builds a named tuple without its Python-level
+#: ``__new__``; the scan below creates four tuples per token.
+_new = tuple.__new__
+
+
+def line_starts(source: str) -> List[int]:
+    """The offset at which each line of ``source`` starts (1-based line
+    ``n`` starts at ``line_starts(source)[n - 1]``)."""
+    return [0, *[match.end() for match in _NEWLINE.finditer(source)]]
+
+
+def position_at(lines: List[int], offset: int) -> Position:
+    """The line/column :class:`Position` of ``offset``, given the text's
+    :func:`line_starts` table."""
+    line = bisect_right(lines, offset)
+    return Position(line, offset - lines[line - 1] + 1)
+
+
+def _literal_value(text: str, span: SourceSpan) -> Tuple[int, Optional[int]]:
+    """The value and optional width of an integer literal's spelling."""
+    cleaned = text.replace("_", "")
+    # width-annotated literals such as 8w255 or 32w0xFF
+    if "w" in cleaned and not cleaned.lower().startswith("0x"):
+        width_text, _, value_text = cleaned.partition("w")
+        if width_text.isdigit() and value_text:
+            try:
+                return int(value_text, 0), int(width_text)
+            except ValueError as exc:
+                raise LexerError(f"malformed literal {text!r}", span) from exc
+    try:
+        return int(cleaned, 0), None
+    except ValueError as exc:
+        raise LexerError(f"malformed literal {text!r}", span) from exc
+
+
+def scan(
+    source: str,
+    filename: str = "<input>",
+    *,
+    start: int = 0,
+    stop: Optional[int] = None,
+    lines: Optional[List[int]] = None,
+) -> Optional[List[Token]]:
+    """Lex ``source`` from offset ``start`` into tokens ending with EOF.
+
+    ``start`` must lie between two tokens (or at offset 0).  Without
+    ``stop`` the scan runs to the end of the text.  With ``stop`` it ends
+    at that offset, which must be where the next token begins: the tokens
+    before it are returned with an EOF token at ``stop``, and ``None`` is
+    returned when a token or a comment runs across ``stop`` (or trivia
+    ends past it).  ``lines`` is the text's :func:`line_starts` table,
+    computed when not given.  Raises :class:`LexerError` on an
+    unexpected character, an unterminated block comment, or a malformed
+    literal.
+    """
+    if lines is None:
+        lines = line_starts(source)
+    limit = len(source) if stop is None else stop
+    last_line = len(lines)
+    line = bisect_right(lines, start)
+    line_start = lines[line - 1]
+    next_line = lines[line] if line < last_line else len(source) + 1
+    literals: Dict[str, Tuple[int, Optional[int]]] = {}
+    tokens: List[Token] = []
+    append = tokens.append
+    prev_end = -1
+    prev_position = None
+    for match in _TOKEN_RE.finditer(source, start):
+        group = match.lastindex
+        begin, end = match.span(group)
+        if end > limit:
+            if begin != limit:
+                return None
+            group = _EOF
+        if group > _PUNCT:
+            if group == _UNICODE:
+                head = source[begin]
+                group = (
+                    _WORD if head.isalpha() else _NUMBER if head.isdigit() else _OTHER
                 )
-                return tokens
-            tokens.append(self._next_token())
-
-    # -- character helpers ----------------------------------------------------
-
-    def _at_end(self) -> bool:
-        return self._offset >= len(self._source)
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._offset + ahead
-        if index >= len(self._source):
-            return "\0"
-        return self._source[index]
-
-    def _advance(self) -> str:
-        char = self._source[self._offset]
-        self._offset += 1
-        if char == "\n":
-            self._line += 1
-            self._column = 1
+            if group > _PUNCT:
+                position = position_at(lines, begin)
+                if group == _EOF:
+                    span = SourceSpan(position, position, filename)
+                    append(Token(TokenKind.EOF, "", span))
+                    return tokens
+                if group == _OTHER:
+                    span = SourceSpan(position, position, filename)
+                    raise LexerError(f"unexpected character {source[begin]!r}", span)
+                span = SourceSpan(position, position_at(lines, len(source)), filename)
+                raise LexerError("unterminated block comment", span)
+        if begin >= next_line:
+            line = bisect_right(lines, begin, line)
+            line_start = lines[line - 1]
+            next_line = lines[line] if line < last_line else len(source) + 1
+        column = begin - line_start + 1
+        position = (
+            prev_position if begin == prev_end else _new(Position, (line, column))
+        )
+        prev_end = end
+        prev_position = _new(Position, (line, column + end - begin))
+        span = _new(SourceSpan, (position, prev_position, filename))
+        text = source[begin:end]
+        if group == _PUNCT:
+            append(_new(Token, (_PUNCT_KIND, text, span, None, None)))
+        elif group == _WORD:
+            kind = _KEYWORD if text in KEYWORDS else _IDENT
+            append(_new(Token, (kind, text, span, None, None)))
         else:
-            self._column += 1
-        return char
-
-    def _position(self) -> Position:
-        return Position(self._line, self._column)
-
-    def _point_span(self) -> SourceSpan:
-        pos = self._position()
-        return SourceSpan(pos, pos, self._filename)
-
-    def _span_from(self, start: Position) -> SourceSpan:
-        return SourceSpan(start, self._position(), self._filename)
-
-    # -- trivia -----------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while not self._at_end():
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while not self._at_end() and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            else:
-                return
-
-    def _skip_block_comment(self) -> None:
-        start = self._position()
-        self._advance()
-        self._advance()
-        while True:
-            if self._at_end():
-                raise LexerError(
-                    "unterminated block comment", SourceSpan(start, self._position(), self._filename)
-                )
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance()
-                self._advance()
-                return
-            self._advance()
-
-    # -- token scanning -----------------------------------------------------------
-
-    def _next_token(self) -> Token:
-        start = self._position()
-        char = self._peek()
-        if char.isalpha() or char == "_":
-            return self._lex_word(start)
-        if char.isdigit():
-            return self._lex_number(start)
-        return self._lex_punct(start)
-
-    def _lex_word(self, start: Position) -> Token:
-        chars: List[str] = []
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, self._span_from(start))
-
-    def _lex_number(self, start: Position) -> Token:
-        chars: List[str] = []
-        while not self._at_end() and (self._peek().isalnum() or self._peek() == "_"):
-            chars.append(self._advance())
-        text = "".join(chars)
-        span = self._span_from(start)
-        value, width = self._parse_number(text, span)
-        return Token(TokenKind.INT, text, span, value=value, width=width)
-
-    @staticmethod
-    def _parse_number(text: str, span: SourceSpan) -> tuple[int, int | None]:
-        cleaned = text.replace("_", "")
-        # width-annotated literals such as 8w255 or 32w0xFF
-        if "w" in cleaned and not cleaned.lower().startswith("0x"):
-            width_text, _, value_text = cleaned.partition("w")
-            if width_text.isdigit() and value_text:
-                try:
-                    return int(value_text, 0), int(width_text)
-                except ValueError as exc:
-                    raise LexerError(f"malformed literal {text!r}", span) from exc
-        try:
-            return int(cleaned, 0), None
-        except ValueError as exc:
-            raise LexerError(f"malformed literal {text!r}", span) from exc
-
-    def _lex_punct(self, start: Position) -> Token:
-        for op in _MULTI_CHAR_OPERATORS:
-            if self._source.startswith(op, self._offset):
-                for _ in op:
-                    self._advance()
-                return Token(TokenKind.PUNCT, op, self._span_from(start))
-        char = self._peek()
-        if char in _SINGLE_CHAR_TOKENS:
-            self._advance()
-            return Token(TokenKind.PUNCT, char, self._span_from(start))
-        raise LexerError(f"unexpected character {char!r}", self._point_span())
+            literal = literals.get(text)
+            if literal is None:
+                literal = literals[text] = _literal_value(text, span)
+            append(_new(Token, (_INT, text, span, literal[0], literal[1])))
+    raise AssertionError("the token pattern always ends with an EOF match")
 
 
 def tokenize(source: str, filename: str = "<input>") -> List[Token]:
-    """Lex ``source`` into a token list (convenience wrapper)."""
-    return Lexer(source, filename).tokenize()
+    """Lex the whole of ``source`` into a token list ending with EOF."""
+    return scan(source, filename)  # type: ignore[return-value]

@@ -15,7 +15,7 @@ program counter (isolation case study, Section 5.4).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.frontend.errors import ParserError
 from repro.frontend.lexer import Token, TokenKind, tokenize
@@ -85,7 +85,23 @@ _BINARY_PRECEDENCE: Tuple[Tuple[str, ...], ...] = (
     ("*", "/", "%"),
 )
 
+#: Operator -> precedence level, for precedence climbing.
+_OPERATOR_LEVEL: Dict[str, int] = {
+    op: level for level, ops in enumerate(_BINARY_PRECEDENCE) for op in ops
+}
+
 _TYPE_KEYWORDS = frozenset({"bit", "bool", "int", "void"})
+
+#: How deeply expressions and statement blocks may nest.  Every recursive
+#: descent of the parser passes through a nesting check, and each level
+#: costs at most a handful of Python frames, so this bound keeps parsing
+#: (and the recursive passes that walk the tree afterwards) well inside
+#: CPython's default recursion limit: a pathological input gets a
+#: :class:`ParserError` instead of a ``RecursionError``.
+MAX_NESTING = 100
+
+#: One top-level unit of a program: a named declaration or a control block.
+Unit = Union[Declaration, ControlDecl]
 
 
 class Parser:
@@ -95,12 +111,15 @@ class Parser:
         self._tokens = tokens
         self._filename = filename
         self._index = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------ utils
 
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        try:
+            return self._tokens[self._index + ahead]
+        except IndexError:  # looking past the end: the EOF token
+            return self._tokens[-1]
 
     def _at_end(self) -> bool:
         return self._peek().kind is TokenKind.EOF
@@ -138,6 +157,12 @@ class Parser:
             )
         return self._advance()
 
+    def _enter(self, token: Token, what: str = "expression") -> None:
+        """Count one level of nesting opened by ``token``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParserError(f"{what} nested too deeply", token.span)
+
     def _expect_ident(self, context: str) -> Token:
         token = self._peek()
         if token.kind is not TokenKind.IDENT:
@@ -148,37 +173,39 @@ class Parser:
 
     # ------------------------------------------------------------------ program
 
-    def parse_program(self, name: str = "<program>") -> Program:
-        declarations: List[Declaration] = []
-        controls: List[ControlDecl] = []
-        start_span = self._peek().span
+    def parse_units(self) -> List[Tuple[Unit, int, int]]:
+        """Parse top-level units up to EOF, in source order.
+
+        Each unit comes with the index of its first token (a leading
+        ``@pc`` included) and the index just past its last token.
+        """
+        units: List[Tuple[Unit, int, int]] = []
         while not self._at_end():
-            pc_label = self._parse_optional_pc_annotation()
-            token = self._peek()
-            if token.is_keyword("control"):
-                controls.append(self._parse_control(pc_label))
-                continue
-            if pc_label is not None:
-                raise ParserError(
-                    "@pc(...) annotations may only precede a control block",
-                    token.span,
-                )
-            if token.is_keyword("header"):
-                declarations.append(self._parse_header_or_struct(header=True))
-            elif token.is_keyword("struct"):
-                declarations.append(self._parse_header_or_struct(header=False))
-            elif token.is_keyword("typedef"):
-                declarations.append(self._parse_typedef())
-            elif token.is_keyword("match_kind"):
-                declarations.append(self._parse_match_kind())
-            elif token.is_keyword("const") or self._looks_like_type_start():
-                declarations.append(self._parse_var_decl(allow_const=True))
-            else:
-                raise ParserError(
-                    f"unexpected token {token} at top level", token.span
-                )
-        span = start_span.merge(self._peek().span)
-        return Program(tuple(declarations), tuple(controls), span=span, name=name)
+            first = self._index
+            units.append((self._parse_unit(), first, self._index))
+        return units
+
+    def _parse_unit(self) -> Unit:
+        pc_label = self._parse_optional_pc_annotation()
+        token = self._peek()
+        if token.is_keyword("control"):
+            return self._parse_control(pc_label)
+        if pc_label is not None:
+            raise ParserError(
+                "@pc(...) annotations may only precede a control block",
+                token.span,
+            )
+        if token.is_keyword("header"):
+            return self._parse_header_or_struct(header=True)
+        if token.is_keyword("struct"):
+            return self._parse_header_or_struct(header=False)
+        if token.is_keyword("typedef"):
+            return self._parse_typedef()
+        if token.is_keyword("match_kind"):
+            return self._parse_match_kind()
+        if token.is_keyword("const") or self._looks_like_type_start():
+            return self._parse_var_decl(allow_const=True)
+        raise ParserError(f"unexpected token {token} at top level", token.span)
 
     def _parse_optional_pc_annotation(self) -> Optional[str]:
         if not self._check_punct("@"):
@@ -445,10 +472,12 @@ class Parser:
 
     def _parse_block(self) -> Block:
         open_brace = self._expect_punct("{", "to open a block")
+        self._enter(open_brace, "statement")
         statements: List[Statement] = []
         while not self._check_punct("}"):
             statements.append(self._parse_statement())
         close = self._expect_punct("}", "to close a block")
+        self._depth -= 1
         return Block(tuple(statements), span=open_brace.span.merge(close.span))
 
     def _parse_statement(self) -> Statement:
@@ -484,7 +513,9 @@ class Parser:
         if self._check_keyword("else"):
             self._advance()
             if self._check_keyword("if"):
+                self._enter(self._peek(), "statement")
                 nested = self._parse_if()
+                self._depth -= 1
                 else_branch = Block((nested,), span=nested.span)
             else:
                 else_branch = self._parse_block()
@@ -515,21 +546,33 @@ class Parser:
         return self._parse_binary(0)
 
     def _parse_binary(self, level: int) -> Expression:
-        if level >= len(_BINARY_PRECEDENCE):
-            return self._parse_unary()
-        operators = _BINARY_PRECEDENCE[level]
-        left = self._parse_binary(level + 1)
-        while self._peek().kind is TokenKind.PUNCT and self._peek().text in operators:
-            op = self._advance()
-            right = self._parse_binary(level + 1)
+        """Precedence climbing: operands bind operators of ``level`` and
+        tighter, left-associatively."""
+        left = self._parse_unary()
+        chained = 0
+        while True:
+            op = self._peek()
+            op_level = (
+                _OPERATOR_LEVEL.get(op.text) if op.kind is TokenKind.PUNCT else None
+            )
+            if op_level is None or op_level < level:
+                self._depth -= chained
+                return left
+            self._advance()
+            # Each operator of a chain nests the tree one level deeper (it
+            # is left-deep), so the chain counts towards the limit too.
+            self._enter(op)
+            chained += 1
+            right = self._parse_binary(op_level + 1)
             left = BinaryOp(op.text, left, right, span=left.span.merge(right.span))
-        return left
 
     def _parse_unary(self) -> Expression:
         token = self._peek()
         if token.kind is TokenKind.PUNCT and token.text in ("!", "-", "~"):
             self._advance()
+            self._enter(token)
             operand = self._parse_unary()
+            self._depth -= 1
             return UnaryOp(token.text, operand, span=token.span.merge(operand.span))
         return self._parse_postfix()
 
@@ -542,8 +585,9 @@ class Parser:
                 if field.is_keyword("apply"):
                     # table application t.apply(...) desugars to t(...)
                     self._advance()
-                    self._expect_punct("(", "after '.apply'")
-                    arguments = self._parse_call_arguments()
+                    arguments = self._parse_call_arguments(
+                        self._expect_punct("(", "after '.apply'")
+                    )
                     close_span = self._tokens[self._index - 1].span
                     expr = Call(expr, tuple(arguments), span=expr.span.merge(close_span))
                     continue
@@ -554,19 +598,20 @@ class Parser:
                 self._advance()
                 expr = FieldAccess(expr, field.text, span=expr.span.merge(field.span))
             elif self._check_punct("["):
-                self._advance()
+                self._enter(self._advance())
                 index = self.parse_expression()
                 close = self._expect_punct("]", "to close an index expression")
+                self._depth -= 1
                 expr = Index(expr, index, span=expr.span.merge(close.span))
             elif self._check_punct("("):
-                self._advance()
-                arguments = self._parse_call_arguments()
+                arguments = self._parse_call_arguments(self._advance())
                 close_span = self._tokens[self._index - 1].span
                 expr = Call(expr, tuple(arguments), span=expr.span.merge(close_span))
             else:
                 return expr
 
-    def _parse_call_arguments(self) -> List[Expression]:
+    def _parse_call_arguments(self, open_paren: Token) -> List[Expression]:
+        self._enter(open_paren)
         arguments: List[Expression] = []
         if not self._check_punct(")"):
             while True:
@@ -574,6 +619,7 @@ class Parser:
                 if not self._match_punct(","):
                     break
         self._expect_punct(")", "to close a call")
+        self._depth -= 1
         return arguments
 
     def _parse_primary(self) -> Expression:
@@ -589,8 +635,10 @@ class Parser:
             return Var(token.text, span=token.span)
         if token.is_punct("("):
             self._advance()
+            self._enter(token)
             inner = self.parse_expression()
             self._expect_punct(")", "to close a parenthesised expression")
+            self._depth -= 1
             return inner
         if token.is_punct("{"):
             return self._parse_record_literal()
@@ -598,6 +646,7 @@ class Parser:
 
     def _parse_record_literal(self) -> RecordLiteral:
         open_brace = self._advance()
+        self._enter(open_brace)
         fields: List[Tuple[str, Expression]] = []
         while not self._check_punct("}"):
             name = self._expect_ident("as a record field name")
@@ -607,6 +656,7 @@ class Parser:
             if not self._match_punct(","):
                 break
         close = self._expect_punct("}", "to close a record literal")
+        self._depth -= 1
         return RecordLiteral(tuple(fields), span=open_brace.span.merge(close.span))
 
     # ------------------------------------------------------------------ types
@@ -691,11 +741,23 @@ class Parser:
         return text
 
 
+def build_program(units: Sequence[Unit], span: SourceSpan, name: str) -> Program:
+    """The :class:`Program` of top-level ``units`` given in source order."""
+    return Program(
+        tuple(unit for unit in units if not isinstance(unit, ControlDecl)),
+        tuple(unit for unit in units if isinstance(unit, ControlDecl)),
+        span=span,
+        name=name,
+    )
+
+
 def parse_program(source: str, filename: str = "<input>", name: str | None = None) -> Program:
     """Parse ``source`` into a :class:`Program`."""
     tokens = tokenize(source, filename)
-    parser = Parser(tokens, filename)
-    return parser.parse_program(name or filename)
+    units = Parser(tokens, filename).parse_units()
+    # From the first token through EOF (just EOF for an empty program).
+    span = tokens[0].span.merge(tokens[-1].span)
+    return build_program([unit for unit, _, _ in units], span, name or filename)
 
 
 def parse_expression(source: str, filename: str = "<expr>") -> Expression:

@@ -37,7 +37,7 @@ from typing import Dict, FrozenSet, Iterator, Tuple, Union
 from repro.syntax import declarations as d
 from repro.syntax import expressions as e
 from repro.syntax.printer import pretty_print
-from repro.syntax.source import Position, SourceSpan
+from repro.syntax.source import SourceSpan
 from repro.syntax.types import TypeName
 
 #: One top-level unit of a program: a named declaration or a control block.
@@ -56,9 +56,7 @@ def unit_fingerprint(unit: Unit) -> str:
 
 def _is_node(value: object) -> bool:
     """Whether ``value`` is an AST node (vs. a scalar or a span)."""
-    return dataclasses.is_dataclass(value) and not isinstance(
-        value, (SourceSpan, Position)
-    )
+    return dataclasses.is_dataclass(value)
 
 
 #: Field names per node type.  ``dataclasses.fields`` allocates a fresh
@@ -92,7 +90,7 @@ def iter_tree(node: object) -> Iterator[object]:
 def _iter_value(value: object) -> Iterator[object]:
     if _is_node(value):
         yield from iter_tree(value)
-    elif isinstance(value, tuple):
+    elif type(value) is tuple:  # node tuples; spans are tuple subclasses
         for item in value:
             yield from _iter_value(item)
 

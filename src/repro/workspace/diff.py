@@ -12,7 +12,13 @@ annotation sites).
 Diffing a new revision against the cached states proceeds in three steps,
 all span-insensitive:
 
-1. **Match** by content fingerprint
+0. **Identity**: a unit whose AST node *is* a cached state's node -- the
+   edit's parse spliced it in unchanged
+   (:func:`repro.frontend.incremental.reparse`) -- claims that state
+   outright, with its fingerprint and reference set, and needs no
+   re-span.  Identity claims come first, so no other unit can take
+   (and re-span) a state whose node the new revision still uses.
+1. **Match** the remaining units by content fingerprint
    (:func:`repro.syntax.digest.unit_fingerprint`): each new unit claims
    the first unclaimed old unit with the same fingerprint, in order
    (FIFO, so duplicated units pair up positionally).  Matching is
@@ -93,6 +99,8 @@ class UnitPlan:
     dirty: bool
     #: Whether a matched unit's spans were rewritten to new positions.
     respanned: bool = False
+    #: Whether the unit's node is the cached state's node itself.
+    spliced: bool = False
     #: The changed-span map of the re-span (old span -> new span), for
     #: rebuilding cached values that embed spans.
     span_map: Dict[object, object] = field(default_factory=dict)
@@ -159,31 +167,38 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
     from the registry once the walk's touch union is recomputed.
     """
     units = program_units(program)
-    fingerprints = [unit_fingerprint(unit) for unit in units]
+    by_node = {id(state.node): state for state in old_states}
+    # ``pop``: a hand-built program may list one node object twice, and a
+    # state can only be claimed once.
+    matches: List[Optional[UnitState]] = [by_node.pop(id(unit), None) for unit in units]
+    spliced = [match is not None for match in matches]
+    fingerprints = [
+        match.fingerprint if match is not None else unit_fingerprint(unit)
+        for match, unit in zip(matches, units)
+    ]
 
     pool: Dict[str, List[UnitState]] = {}
-    for state in old_states:
+    for state in by_node.values():  # the states no node claimed, in order
         pool.setdefault(state.fingerprint, []).append(state)
 
     # Match (and re-span) first, so reference sets of matched units can be
     # taken from the cached state instead of re-walking their trees: equal
     # fingerprints mean equal content, hence equal referenced names.
-    matches: List[Optional[UnitState]] = []
-    span_maps: List[Dict[object, object]] = []
+    span_maps: List[Dict[object, object]] = [{} for _ in units]
     for index, unit in enumerate(units):
+        if spliced[index]:
+            continue
         bucket = pool.get(fingerprints[index])
         old = bucket.pop(0) if bucket else None
-        span_map: Dict[object, object] = {}
         if old is not None:
             try:
-                span_map = respan(old.node, unit)
+                span_maps[index] = respan(old.node, unit)
             except RespanMismatch:
                 # Identical fingerprints should guarantee identical
                 # shapes; if they somehow do not, fall back to a full
                 # re-walk of the fresh node rather than corrupt caches.
-                old, span_map = None, {}
-        matches.append(old)
-        span_maps.append(span_map)
+                old = None
+        matches[index] = old
 
     referenced = [
         matches[index].referenced
@@ -205,6 +220,7 @@ def diff_program(old_states: List[UnitState], program: Program) -> List[UnitPlan
                     dirty,
                     respanned=bool(span_maps[index]),
                     span_map=span_maps[index],
+                    spliced=spliced[index],
                 )
             )
             continue

@@ -24,7 +24,9 @@ from repro.telemetry.recorder import NULL_RECORDER, current_recorder
 from repro.version import __version__
 
 FORMAT = "p4bid-workspace"
-VERSION = 1
+#: 2: spans and tokens became named tuples, and the workspace keeps the
+#: last parsed revision's text and unit extents.
+VERSION = 2
 
 
 def save_workspace(workspace, path: Union[str, Path]) -> None:

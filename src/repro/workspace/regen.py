@@ -104,9 +104,16 @@ class RegenStats:
     units_reused: int = 0
     units_rewalked: int = 0
     units_respanned: int = 0
+    #: Units whose AST node the edit's parse kept (matched by identity).
+    units_spliced: int = 0
     constraints_reused: int = 0
     constraints_regenerated: int = 0
     sites_live: int = 0
+
+    @property
+    def units_reparsed(self) -> int:
+        """Units whose node came fresh from the parser since the last refresh."""
+        return self.units_total - self.units_spliced
 
 
 class IncrementalGenerator:
@@ -211,6 +218,8 @@ class IncrementalGenerator:
             state = plan.state
             if plan.respanned:
                 stats.units_respanned += 1
+            if plan.spliced:
+                stats.units_spliced += 1
             if not plan.dirty:
                 stats.units_reused += 1
                 stats.constraints_reused += len(state.constraints)

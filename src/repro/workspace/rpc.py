@@ -41,7 +41,9 @@ Methods (``params`` is always an object):
 Error codes follow the JSON-RPC 2.0 spec: ``-32700`` parse error,
 ``-32600`` invalid request, ``-32601`` method not found, ``-32602``
 invalid params, ``-32000`` workspace errors (no program open, unknown
-slot, ...).
+slot, ...), ``-32603`` internal error: any other exception a request
+raises.  Its traceback goes to stderr, never into the response, and the
+session keeps serving.
 """
 
 from __future__ import annotations
@@ -49,14 +51,17 @@ from __future__ import annotations
 import json
 import socketserver
 import sys
+import traceback
 from typing import Any, Dict, Optional, TextIO
 
+from repro.telemetry.recorder import current_recorder
 from repro.workspace.session import Workspace, WorkspaceError
 
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
+INTERNAL_ERROR = -32603
 WORKSPACE_ERROR = -32000
 
 
@@ -134,7 +139,7 @@ class WorkspaceServer:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
             return self._encode_error(None, PARSE_ERROR, f"parse error: {exc}")
-        if not isinstance(request, dict) or "method" not in request:
+        if not isinstance(request, dict) or not isinstance(request.get("method"), str):
             return self._encode_error(
                 request.get("id") if isinstance(request, dict) else None,
                 INVALID_REQUEST,
@@ -154,13 +159,21 @@ class WorkspaceServer:
             )
         try:
             result = handler(params)
+            if request_id is None:
+                return None  # notification: no response
+            return json.dumps({"jsonrpc": "2.0", "id": request_id, "result": result})
         except _RpcError as exc:
             return self._encode_error(request_id, exc.code, exc.message)
         except WorkspaceError as exc:
             return self._encode_error(request_id, WORKSPACE_ERROR, str(exc))
-        if request_id is None:
-            return None  # notification: no response
-        return json.dumps({"jsonrpc": "2.0", "id": request_id, "result": result})
+        except Exception as exc:  # a request must never take the session down
+            traceback.print_exc(file=sys.stderr)
+            current_recorder().count("rpc.internal_errors")
+            return self._encode_error(
+                request_id,
+                INTERNAL_ERROR,
+                f"internal error ({type(exc).__name__}) in {method!r}",
+            )
 
     @staticmethod
     def _encode_error(request_id, code: int, message: str) -> str:

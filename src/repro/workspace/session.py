@@ -7,8 +7,9 @@ graph, the solved assignment, and cached verdicts -- and keeps them warm
 across edits:
 
 * :meth:`Workspace.open` / :meth:`Workspace.edit` install a new source
-  revision; :meth:`Workspace.infer` (and everything downstream) then
-  re-walks only the *changed* declarations
+  revision (an edit re-parses only the region of text that changed,
+  :mod:`repro.frontend.incremental`); :meth:`Workspace.infer` (and
+  everything downstream) then re-walks only the *changed* declarations
   (:class:`~repro.workspace.regen.IncrementalGenerator`) and re-solves
   only the edit's cone of influence
   (:meth:`~repro.inference.engine.Solver.rebase`);
@@ -38,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Union
 
 from repro.frontend.errors import FrontendError
-from repro.frontend.parser import parse_program
+from repro.frontend.incremental import ParsedSource, parse_source, reparse
 from repro.inference.elaborate import elaborate_program
 from repro.inference.engine import (
     InferenceResult,
@@ -54,6 +55,7 @@ from repro.lattice.registry import get_lattice
 from repro.lattice.two_point import TwoPointLattice
 from repro.syntax.program import Program
 from repro.telemetry.recorder import current_recorder
+from repro.workspace.diff import program_units
 from repro.workspace.regen import IncrementalGenerator, RegenStats
 
 
@@ -91,6 +93,9 @@ class Workspace:
         self.revision = 0
         self.program: Optional[Program] = None
         self.parse_error: Optional[str] = None
+        #: The last revision that parsed, with its units' text extents;
+        #: :meth:`edit` splices the next revision's parse against it.
+        self._parsed: Optional[ParsedSource] = None
         self._generator = IncrementalGenerator(
             resolved, allow_declassification=allow_declassification
         )
@@ -139,21 +144,36 @@ class Workspace:
         self.filename = filename
         if name is not None:
             self.name = name
+        return self._install(source, None)
+
+    def edit(self, source: str) -> bool:
+        """Install the next revision of the current file.
+
+        Only the text between the common prefix and the common suffix of
+        the last revision that parsed and ``source`` is re-lexed and
+        re-parsed (:func:`repro.frontend.incremental.reparse`); every
+        declaration outside it keeps its AST node, which the re-check
+        then reuses without re-fingerprinting it.
+        """
+        with current_recorder().span("workspace.edit", revision=self.revision + 1):
+            return self._install(source, self._parsed)
+
+    def _install(self, source: str, previous: Optional[ParsedSource]) -> bool:
         self.revision += 1
         self._invalidate()
         try:
-            program = parse_program(source, filename, name=self.name)
+            if previous is None:
+                parsed = parse_source(source, self.filename)
+            else:
+                parsed = reparse(previous, source, self.filename)
         except FrontendError as exc:
             self.parse_error = str(exc)
             self.program = None
             return False
         self.parse_error = None
-        self.program = program
+        self._parsed = parsed
+        self.program = parsed.program(self.name or self.filename)
         return True
-
-    def edit(self, source: str) -> bool:
-        """Install the next revision of the current file."""
-        return self.open(source, filename=self.filename, name=self.name)
 
     def open_program(self, program: Program, *, name: Optional[str] = None) -> None:
         """Install an already-parsed program as the next revision."""
@@ -162,6 +182,7 @@ class Workspace:
         self.revision += 1
         self._invalidate()
         self.parse_error = None
+        self._parsed = None
         self.program = program
 
     def _invalidate(self) -> None:
@@ -199,6 +220,7 @@ class Workspace:
             recorder.count("workspace.units_reused", stats.units_reused)
             recorder.count("workspace.units_rewalked", stats.units_rewalked)
             recorder.count("workspace.units_respanned", stats.units_respanned)
+            recorder.count("workspace.units_spliced", stats.units_spliced)
             recorder.count("workspace.constraints_reused", stats.constraints_reused)
             recorder.count(
                 "workspace.constraints_regenerated", stats.constraints_regenerated
@@ -206,7 +228,18 @@ class Workspace:
             recorder.count("workspace.sites_live", stats.sites_live)
         # Matched units keep their original AST nodes; the assembled
         # program (identical to the parse on a first refresh) is what
-        # every downstream phase must see.
+        # every downstream phase must see, and the nodes the next edit
+        # splices in.
+        if generation.program is not self.program and self._parsed is not None:
+            self._parsed.replace_nodes(
+                {
+                    id(parsed): kept
+                    for parsed, kept in zip(
+                        program_units(self.program), program_units(generation.program)
+                    )
+                    if parsed is not kept
+                }
+            )
         self.program = generation.program
         self._generation = generation
         self._generation_rev = self.revision
@@ -516,6 +549,8 @@ class Workspace:
                 "units_reused": regen.units_reused,
                 "units_rewalked": regen.units_rewalked,
                 "units_respanned": regen.units_respanned,
+                "units_spliced": regen.units_spliced,
+                "units_reparsed": regen.units_reparsed,
                 "constraints_reused": regen.constraints_reused,
                 "constraints_regenerated": regen.constraints_regenerated,
                 "sites_live": regen.sites_live,

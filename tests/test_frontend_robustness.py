@@ -4,11 +4,13 @@ the printer or the synthesiser must always be re-accepted."""
 
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.frontend.errors import FrontendError
+from repro.frontend.errors import FrontendError, ParserError
 from repro.frontend.lexer import tokenize
-from repro.frontend.parser import parse_expression, parse_program
+from repro.frontend.parser import MAX_NESTING, parse_expression, parse_program
+from repro.syntax.source import Position, SourceSpan
 from repro.synth import random_straightline_program
 from repro.syntax.printer import pretty_print
 
@@ -71,6 +73,54 @@ def test_deeply_nested_expressions_parse():
     source = "(" * depth + "x" + ")" * depth
     expr = parse_expression(source)
     assert expr.describe() == "x"
+
+
+def _in_apply(statement: str) -> str:
+    return (
+        "header h_t { bit<8> a; } struct headers { h_t h; }\n"
+        "control C(inout headers hdr) { apply {\n" + statement + "\n} }"
+    )
+
+
+def test_pathologically_nested_expressions_are_a_parse_error():
+    # 5,000 parentheses would exhaust the interpreter's stack in a
+    # recursive-descent parser; the nesting limit reports a located
+    # diagnostic at the opening parenthesis that crosses it instead.
+    depth = 5_000
+    with pytest.raises(ParserError) as excinfo:
+        parse_expression("(" * depth + "x" + ")" * depth, filename="deep.p4")
+    assert excinfo.value.message == "expression nested too deeply"
+    # The span of the parenthesis that opens level MAX_NESTING + 1.
+    assert excinfo.value.span == SourceSpan(
+        Position(1, MAX_NESTING + 1), Position(1, MAX_NESTING + 2), "deep.p4"
+    )
+
+
+@pytest.mark.parametrize(
+    "statement, message",
+    [
+        ("hdr.h.a = " + "(" * 5_000 + "1" + ")" * 5_000 + ";", "expression nested too deeply"),
+        ("hdr.h.a = " + "-" * 5_000 + "1;", "expression nested too deeply"),
+        ("hdr.h.a = " + "f(" * 5_000 + ")" * 5_000 + ";", "expression nested too deeply"),
+        ("hdr.h.a = x" + "[x" * 5_000 + "]" * 5_000 + ";", "expression nested too deeply"),
+        ("hdr.h.a = " + "{f = " * 5_000 + "1" + "}" * 5_000 + ";", "expression nested too deeply"),
+        ("hdr.h.a = " + " + ".join(["1"] * 5_000) + ";", "expression nested too deeply"),
+        ("{" * 5_000 + "}" * 5_000, "statement nested too deeply"),
+        ("if (true) {} " + "else if (true) {} " * 5_000, "statement nested too deeply"),
+    ],
+    ids=["parens", "unary", "calls", "indices", "records", "chain", "blocks", "else-if"],
+)
+def test_every_recursive_construct_is_bounded(statement, message):
+    with pytest.raises(ParserError) as excinfo:
+        parse_program(_in_apply(statement))
+    assert excinfo.value.message == message
+    assert excinfo.value.span.start.line == 3
+
+
+def test_nesting_at_the_limit_still_parses():
+    inner = "(" * (MAX_NESTING - 1) + "hdr.h.a" + ")" * (MAX_NESTING - 1)
+    program = parse_program(_in_apply(f"hdr.h.a = {inner};"))
+    assert program.controls[0].apply_block.statements
 
 
 def test_long_field_chains():

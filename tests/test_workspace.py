@@ -216,6 +216,14 @@ class TestIncrementality:
         # Only shard3's header, struct and control were re-walked.
         assert recorder.counters["workspace.units_rewalked"] == 3
         assert recorder.counters["workspace.units_reused"] == 3 * shards - 3
+        # Only the edited header was re-lexed and re-parsed; every other
+        # unit kept its node and was matched by identity.
+        regen = workspace.stats()["regen"]
+        assert regen["units_spliced"] == 3 * shards - 1
+        assert regen["units_reparsed"] == 1
+        (edit_span,) = recorder.spans_named("workspace.edit")
+        children = {span.name for span in recorder.children_of(edit_span)}
+        assert children == {"frontend.lex", "frontend.parse"}
         # The re-solve was seeded from the edit's cone, far smaller than
         # the whole system, and reused every out-of-cone variable.
         assert recorder.counters["solver.rebase.calls"] == 1

@@ -14,6 +14,7 @@ import json
 from repro.synth import sharded_dataflow_program
 from repro.tool.pipeline import check_source
 from repro.workspace.rpc import (
+    INTERNAL_ERROR,
     INVALID_PARAMS,
     INVALID_REQUEST,
     METHOD_NOT_FOUND,
@@ -139,6 +140,84 @@ class TestProtocol:
         response = json.loads(server.handle_line(line))
         assert response["error"]["code"] == METHOD_NOT_FOUND
         assert response["id"] is None
+
+
+class TestNoRequestCrashesTheSession:
+    """Every request line gets exactly one well-formed response, and the
+    session answers the next request, whatever the request did."""
+
+    NESTED = (
+        "header h_t { bit<8> a; } struct headers { h_t h; }\n"
+        "control C(inout headers hdr) { apply { hdr.h.a = "
+        + "(" * 5_000
+        + "1"
+        + ")" * 5_000
+        + "; } }"
+    )
+
+    def serve(self, requests):
+        stdin = io.StringIO("\n".join(json.dumps(r) for r in requests) + "\n")
+        stdout = io.StringIO()
+        assert serve_stdio(stdin=stdin, stdout=stdout) == 0
+        return [json.loads(line) for line in stdout.getvalue().splitlines()]
+
+    def test_load_of_a_missing_path_then_ping(self, tmp_path, capsys):
+        missing = str(tmp_path / "no-such-session.p4bid")
+        responses = self.serve(
+            [
+                {"jsonrpc": "2.0", "id": 1, "method": "load", "params": {"path": missing}},
+                {"jsonrpc": "2.0", "id": 2, "method": "ping"},
+            ]
+        )
+        assert [r["id"] for r in responses] == [1, 2]
+        assert responses[0]["error"]["code"] == INTERNAL_ERROR
+        assert "FileNotFoundError" in responses[0]["error"]["message"]
+        assert "Traceback" not in json.dumps(responses[0])
+        assert responses[1]["result"]["pong"] is True
+        # The traceback went to stderr for the operator, not to the client.
+        assert "FileNotFoundError" in capsys.readouterr().err
+
+    def test_open_of_deeply_nested_parentheses_then_ping(self):
+        responses = self.serve(
+            [
+                {"jsonrpc": "2.0", "id": 1, "method": "open", "params": {"source": self.NESTED}},
+                {"jsonrpc": "2.0", "id": 2, "method": "ping"},
+            ]
+        )
+        assert [r["id"] for r in responses] == [1, 2]
+        # A source that does not parse is an in-band answer of ``open``.
+        opened = responses[0]["result"]
+        assert opened["parsed"] is False
+        assert "expression nested too deeply" in opened["parse_error"]
+        assert responses[1]["result"]["pong"] is True
+
+    def test_edit_to_deeply_nested_parentheses_keeps_the_session(self):
+        server = WorkspaceServer()
+        assert result_of(server, "open", {"source": SECURE})["parsed"] is True
+        edited = result_of(server, "edit", {"source": self.NESTED})
+        assert edited["parsed"] is False
+        assert "nested too deeply" in edited["parse_error"]
+        assert result_of(server, "edit", {"source": SECURE})["parsed"] is True
+        assert result_of(server, "check", {"infer": True})["ok"] is True
+
+    def test_unexpected_exceptions_are_internal_errors(self, capsys):
+        server = WorkspaceServer()
+
+        def explode(params):
+            raise RuntimeError("secret detail")
+
+        server._methods["check"] = explode
+        for request_id in (7, None):
+            response = call(server, "check", request_id=request_id)
+            assert response["error"]["code"] == INTERNAL_ERROR
+            assert "secret detail" not in json.dumps(response)
+        assert "secret detail" in capsys.readouterr().err
+        assert result_of(server, "ping")["pong"] is True
+
+    def test_non_string_method_is_invalid(self):
+        server = WorkspaceServer()
+        line = json.dumps({"jsonrpc": "2.0", "id": 1, "method": ["open"]})
+        assert json.loads(server.handle_line(line))["error"]["code"] == INVALID_REQUEST
 
 
 class TestPolicyMethods:
