@@ -181,6 +181,8 @@ def scan(
     line_start = lines[line - 1]
     next_line = lines[line] if line < last_line else len(source) + 1
     literals: Dict[str, Tuple[int, Optional[int]]] = {}
+    #: One string object per distinct spelling: the AST keeps them as names.
+    texts: Dict[str, str] = {}
     tokens: List[Token] = []
     append = tokens.append
     prev_end = -1
@@ -221,6 +223,7 @@ def scan(
         prev_position = _new(Position, (line, column + end - begin))
         span = _new(SourceSpan, (position, prev_position, filename))
         text = source[begin:end]
+        text = texts.setdefault(text, text)
         if group == _PUNCT:
             append(_new(Token, (_PUNCT_KIND, text, span, None, None)))
         elif group == _WORD:

@@ -381,6 +381,8 @@ class Solver:
         new_pins = dict(pins) if pins is not None else dict(old_pins)
         cache_hits_before = self._cache.hits if self._cache is not None else 0
         new_graph = PropagationGraph(self.lattice, constraints, cache=self._cache)
+        if self._cache is not None:
+            self._cache.retain(constraints)
         if self._assignment is None:
             self.graph = new_graph
             self._pins = new_pins

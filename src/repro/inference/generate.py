@@ -191,12 +191,15 @@ class SiteRegistry:
         return log
 
     def restrict_to(self, sites: List[InferenceSite]) -> None:
-        """Replace the site order (dropping sites of deleted declarations)."""
+        """Replace the site order (dropping sites of deleted declarations).
+
+        Hints are dropped too: a hint is only read when its node gets a
+        site, and every walk suggests hints again before it allocates
+        sites, so keeping them would only keep dead nodes alive.
+        """
         self._order = list(sites)
         self._sites = {id(site.node): site for site in self._order}
-        self._hints = {
-            id(node): (node, hint) for node, hint in self._hints.values()
-        }
+        self._hints = {}
 
     def __getstate__(self) -> dict:
         return {

@@ -95,6 +95,16 @@ class NormalisationCache:
     def __len__(self) -> int:
         return len(self._memo)
 
+    def retain(self, constraints: Sequence[Constraint]) -> None:
+        """Forget the entries no constraint of ``constraints`` uses, once
+        they outnumber the live ones: an edit re-allocates the variables
+        of every re-walked declaration, so its old entries never hit again."""
+        if len(self._memo) <= 2 * len(constraints):
+            return
+        memo = self._memo
+        live = ((c.lhs, c.rhs) for c in constraints)
+        self._memo = {key: memo[key] for key in live if key in memo}
+
     def normalise(
         self,
         constraint: Constraint,

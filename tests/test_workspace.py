@@ -12,11 +12,13 @@ the incrementality.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from repro.casestudies import get_case_study
+from repro.inference.terms import LabelVar
 from repro.lattice.registry import available_lattices, get_lattice
 from repro.synth import sharded_dataflow_program
 from repro.telemetry import TraceRecorder, use_recorder
@@ -250,6 +252,43 @@ class TestIncrementality:
         assert recorder.counters.get("solver.rebase.calls") is None
         assert recorder.counters["workspace.regenerations"] == 1
         assert recorder.counters["workspace.units_rewalked"] == 6
+
+
+class TestSessionMemory:
+    def test_repeated_edits_do_not_accumulate_dead_variables(self):
+        """Every edit re-walks the edited shard and allocates fresh label
+        variables; the old ones must become garbage (not stay reachable
+        from the variable supply, the hint map or the normalisation
+        cache), so a long session does not grow with its edit count."""
+        shards, depth = 4, 4
+        source = sharded_dataflow_program(shards, depth=depth)
+        workspace = Workspace()
+        assert workspace.open(source, filename="<input>")
+        workspace.check(infer=True)
+
+        def flip(source: str, edit: int) -> str:
+            header = f"header shard{edit % shards}_t {{\n    <bit<8>, "
+            if f"{header}high> seed;" in source:
+                return source.replace(f"{header}high> seed;", f"{header}low> seed;")
+            return source.replace(f"{header}low> seed;", f"{header}high> seed;")
+
+        def live_vars() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, LabelVar))
+
+        for edit in range(8):
+            source = flip(source, edit)
+            assert workspace.edit(source)
+            workspace.check(infer=True)
+        baseline = live_vars()
+        for edit in range(8, 58):
+            source = flip(source, edit)
+            assert workspace.edit(source)
+            workspace.check(infer=True)
+        constraints = workspace.stats()["constraints"]
+        # 50 edits allocate 50 * (depth + 1) variables; at most the
+        # normalisation cache's slack (twice the live entries) survives.
+        assert live_vars() - baseline <= 2 * constraints
 
 
 class TestPins:
