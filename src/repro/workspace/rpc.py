@@ -51,7 +51,6 @@ from __future__ import annotations
 import json
 import socketserver
 import sys
-import traceback
 from typing import Any, Dict, Optional, TextIO
 
 from repro.telemetry.recorder import current_recorder
@@ -167,6 +166,8 @@ class WorkspaceServer:
         except WorkspaceError as exc:
             return self._encode_error(request_id, WORKSPACE_ERROR, str(exc))
         except Exception as exc:  # a request must never take the session down
+            import traceback
+
             traceback.print_exc(file=sys.stderr)
             current_recorder().count("rpc.internal_errors")
             return self._encode_error(
