@@ -317,19 +317,26 @@ def test_packed_backend_scaling_curve(record_table, record_json):
     packed backend.  Asserts the packed backend is never slower than the
     graph backend at any tier, clears a 5x speedup at the 100k tier, and
     produces the identical least solution everywhere.
+
+    ``speedup`` compares warm solves only.  Each row also records the
+    constraints → solution times: ``build_ms`` (the graph build, min of
+    up to three), ``graph_e2e_ms`` (build + graph solve) and
+    ``packed_e2e_ms`` (build + the cold packed solve: encode, compile and
+    sweep).
     """
     lattice = get_lattice("diamond")
     curve = []
     lines = [
         f"Packed backend scaling curve ({'smoke' if SMOKE else 'full' if FULL else 'default'})",
         f"{'constraints':>12} {'graph ms':>10} {'packed ms':>10} {'speedup':>8} "
-        f"{'packed ops/s':>13} {'encode ms':>10}",
+        f"{'packed ops/s':>13} {'encode ms':>10} {'build ms':>10} "
+        f"{'graph e2e':>10} {'packed e2e':>10}",
     ]
     for n_constraints, repetitions in PACKED_TIERS:
         constraints, _ = mega_constraint_system(
             n_constraints, lattice, seed=11, chains=64, cycle_every=97
         )
-        graph = PropagationGraph(lattice, constraints)
+        graph, build_ms = _min_of(min(repetitions, 3), PropagationGraph, lattice, constraints)
         # Cold packed solve: pays codec construction + edge compilation, and
         # leaves the PackedSystem cached on the graph for the warm timings.
         cold, cold_ms = _min_of(1, solve_packed, lattice, graph=graph)
@@ -355,6 +362,9 @@ def test_packed_backend_scaling_curve(record_table, record_json):
                 "packed_ms": round(packed_ms, 3),
                 "packed_cold_ms": round(cold_ms, 3),
                 "encode_ms": round(stats.encode_ms, 3),
+                "build_ms": round(build_ms, 3),
+                "graph_e2e_ms": round(build_ms + graph_ms, 3),
+                "packed_e2e_ms": round(build_ms + cold_ms, 3),
                 "speedup": round(speedup, 2),
                 "ops_per_sec": round(ops_per_sec, 1) if ops_per_sec else None,
                 "sweeps": stats.sweeps,
@@ -366,7 +376,8 @@ def test_packed_backend_scaling_curve(record_table, record_json):
         )
         lines.append(
             f"{n_constraints:>12,} {graph_ms:>10.1f} {packed_ms:>10.1f} "
-            f"{speedup:>7.1f}x {ops_per_sec:>13,.0f} {stats.encode_ms:>10.1f}"
+            f"{speedup:>7.1f}x {ops_per_sec:>13,.0f} {stats.encode_ms:>10.1f} "
+            f"{build_ms:>10.1f} {build_ms + graph_ms:>10.1f} {build_ms + cold_ms:>10.1f}"
         )
         # The CI gate: warm packed must never lose to the object backend
         # (1.1 tolerance absorbs scheduler jitter on shared runners).

@@ -49,7 +49,7 @@ from repro.inference.engine import Solver
 from repro.inference.generate import InferenceLabeler, generate_constraints
 from repro.inference.graph import PropagationGraph
 from repro.inference.solve import InferenceConflict, solve
-from repro.inference.terms import LabelVar, Term, VarTerm, free_vars, join_terms
+from repro.inference.terms import LabelVar, Term, VarTerm, join_terms
 from repro.lattice.base import Label, Lattice, LatticeError
 from repro.syntax import expressions as e
 from repro.syntax import statements as s
@@ -365,21 +365,22 @@ def _dead_slot_findings(
         return []
     if graph is None:
         graph = PropagationGraph(lattice, generation.constraints)
-    read_vars = set(graph.dependents)  # appears on some edge's left side
-    for lhs, rhs, _origin in graph.checks:
-        read_vars |= free_vars(lhs) | free_vars(rhs)
+    # Read: appears on some edge's left side, or in a check.
+    read_ids = {vid for vid, out in enumerate(graph.dependents) if out}
+    for ids in graph.check_var_ids():
+        read_ids |= ids
     findings: List[Finding] = []
     for site in generation.sites:
-        var = site.var
-        if var not in graph.edges_into:
+        vid = graph.id_of(site.var)
+        if vid is None or not graph.edges_into[vid]:
             continue  # nothing ever stored into the slot
-        if var in read_vars:
+        if vid in read_ids:
             continue  # the stored label is observed downstream
         findings.append(
             Finding(
                 rule_by_code("P4B004"),
                 f"label stored into {site.hint} is never read downstream: "
-                f"{len(graph.edges_into[var])} flow(s) in, none out",
+                f"{len(graph.edges_into[vid])} flow(s) in, none out",
                 site.span,
                 fix_hint="remove the store or route the value to a reader",
             )

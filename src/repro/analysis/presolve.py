@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set
 
-from repro.inference.terms import LabelVar, evaluate
+from repro.inference.terms import LabelVar
 from repro.lattice.base import Label
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -45,25 +45,32 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 class PresolveReduction:
     """Outcome of the constant-label reduction on one propagation graph.
 
-    ``values`` holds the exact least-solution value of every resolved
-    variable; ``resolved_components`` are the component indices the
+    ``by_id`` holds the exact least-solution value of every resolved
+    variable, keyed by its graph id (``values`` spells the same keyed by
+    variable); ``resolved_components`` are the component indices the
     SCC schedule may skip; ``pruned_edges`` counts the in-edges of those
     components (the edges Kleene iteration never has to evaluate).
     """
 
-    values: Dict[LabelVar, Label] = field(default_factory=dict)
+    variables: Sequence[LabelVar] = ()
+    by_id: Dict[int, Label] = field(default_factory=dict)
     resolved_components: Set[int] = field(default_factory=set)
     pruned_edges: int = 0
     elapsed_ms: float = 0.0
 
     @property
-    def resolved_count(self) -> int:
-        return len(self.values)
+    def values(self) -> Dict[LabelVar, Label]:
+        return {self.variables[vid]: label for vid, label in self.by_id.items()}
 
-    def apply(self, assignment: Dict[LabelVar, Label], stats: "SolverStats") -> None:
-        """Seed the resolved values into ``assignment`` and record stats."""
-        assignment.update(self.values)
-        stats.presolve_resolved_vars = len(self.values)
+    @property
+    def resolved_count(self) -> int:
+        return len(self.by_id)
+
+    def apply(self, values: List[Label], stats: "SolverStats") -> None:
+        """Seed the resolved values into ``values`` (by id), record stats."""
+        for vid, label in self.by_id.items():
+            values[vid] = label
+        stats.presolve_resolved_vars = len(self.by_id)
         stats.presolve_pruned_edges = self.pruned_edges
         stats.presolve_ms = self.elapsed_ms
 
@@ -84,35 +91,31 @@ def presolve_graph(
     # Working values: floors for everything, exact values once resolved.
     # Only edges whose sources are all resolved are ever evaluated, so the
     # unresolved floors are never read through an edge.
-    values: Dict[LabelVar, Label] = {
-        var: lattice.bottom for var in graph.variables
-    }
-    for var, label in (overrides or {}).items():
-        if var in values:
-            values[var] = lattice.join(values[var], label)
-    reduction = PresolveReduction()
-    resolved: Set[LabelVar] = set()
+    values = graph.fresh_assignment(overrides)
+    edges_into = graph.edges_into
+    edge_sources = graph.edge_sources
+    edge_cover = graph.edge_cover
+    reduction = PresolveReduction(graph.variables)
+    resolved = [False] * len(values)
     for comp_index, component in enumerate(graph.components):
         if graph._cyclic[comp_index]:
             continue
-        var = component[0]
-        in_edges = graph.edges_into.get(var, ())
-        if any(
-            src not in resolved
-            for index in in_edges
-            for src in graph.edges[index].sources
+        vid = component[0]
+        in_edges = edges_into[vid]
+        if not all(
+            resolved[src] for index in in_edges for src in edge_sources[index]
         ):
             continue  # fed (transitively) by a cycle: leave to the schedule
-        value = values[var]
+        value = values[vid]
         for index in in_edges:
-            edge = graph.edges[index]
-            flowed = evaluate(edge.lhs, lattice, values)
-            if edge.cover is not None and lattice.leq(flowed, edge.cover):
+            flowed = graph.edge_value(index, values)
+            cover = edge_cover[index]
+            if cover is not None and lattice.leq(flowed, cover):
                 continue  # the join's constant part absorbs the flow
             value = lattice.join(value, flowed)
-        values[var] = value
-        resolved.add(var)
-        reduction.values[var] = value
+        values[vid] = value
+        resolved[vid] = True
+        reduction.by_id[vid] = value
         reduction.resolved_components.add(comp_index)
         reduction.pruned_edges += len(in_edges)
     reduction.elapsed_ms = (time.perf_counter() - start) * 1000.0

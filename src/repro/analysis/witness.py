@@ -36,7 +36,7 @@ from repro.lattice.base import Label, Lattice
 from repro.syntax.source import SourceSpan
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.inference.graph import PropagationEdge, PropagationGraph
+    from repro.inference.graph import PropagationGraph
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,12 @@ class LeakWitness:
         return "\n".join(lines)
 
 
-def _provenance(edge: "PropagationEdge") -> Constraint:
-    """The constraint to show for one edge: prefer one with a real span."""
-    for constraint in edge.constraints:
+def _provenance(graph: "PropagationGraph", index: int) -> Constraint:
+    """The constraint to show for edge ``index``: prefer one with a real span."""
+    for constraint in graph.edge_constraints(index):
         if not constraint.span.is_unknown():
             return constraint
-    return edge.origin
+    return graph.edge_origin(index)
 
 
 def witness_for_conflict(
@@ -116,65 +116,67 @@ def witness_for_conflict(
     """
     lattice = graph.lattice
     bound = conflict.required
+    variables = graph.variables
     check_hop = WitnessHop(conflict.constraint, None, conflict.observed)
     seeds = [
-        var
-        for var in sorted(free_vars(conflict.constraint.lhs), key=lambda v: v.uid)
-        if var in assignment and not lattice.leq(assignment[var], bound)
+        vid
+        for vid in map(
+            graph.id_of,
+            sorted(free_vars(conflict.constraint.lhs), key=lambda v: v.uid),
+        )
+        if vid is not None
+        and variables[vid] in assignment
+        and not lattice.leq(assignment[variables[vid]], bound)
     ]
     if not seeds:
         return LeakWitness(conflict, (check_hop,))
-    #: upstream var -> (edge that raised it from the downstream side, the
-    #: downstream var it was reached from).
-    parents: Dict[LabelVar, Tuple["PropagationEdge", LabelVar]] = {}
+    #: upstream id -> (index of the edge that raised it from the downstream
+    #: side, the downstream id it was reached from).
+    parents: Dict[int, Tuple[int, int]] = {}
     visited = set(seeds)
     queue: deque = deque(seeds)
-    terminal: Optional[Tuple["PropagationEdge", LabelVar]] = None
+    terminal: Optional[Tuple[int, int]] = None
     while queue and terminal is None:
-        var = queue.popleft()
-        for index in graph.edges_into.get(var, ()):
-            edge = graph.edges[index]
-            value = evaluate(edge.lhs, lattice, assignment)
-            if edge.cover is not None and lattice.leq(value, edge.cover):
+        vid = queue.popleft()
+        for index in graph.edges_into[vid]:
+            value = evaluate(graph.edge_lhs[index], lattice, assignment)
+            cover = graph.edge_cover[index]
+            if cover is not None and lattice.leq(value, cover):
                 continue  # the join's constant part absorbed the flow
             if lattice.leq(value, bound):
                 continue  # this edge never pushed the variable over
             high_sources = [
                 src
-                for src in edge.sources
-                if not lattice.leq(assignment[src], bound)
+                for src in graph.edge_sources[index]
+                if not lattice.leq(assignment[variables[src]], bound)
             ]
             if not high_sources:
                 # The high label is introduced right here, by constants:
                 # the nearest source annotation.  BFS order makes this the
                 # shortest chain.
-                terminal = (edge, var)
+                terminal = (index, vid)
                 break
             for src in high_sources:
                 if src not in visited:
                     visited.add(src)
-                    parents[src] = (edge, var)
+                    parents[src] = (index, vid)
                     queue.append(src)
     if terminal is None:
         # Every blamed variable is (transitively) raised only through
         # cycles of variables -- possible only via override floors; fall
         # back to the bare check so callers always get a witness.
         return LeakWitness(conflict, (check_hop,))
-    edge, var = terminal
-    hops: List[WitnessHop] = [
-        WitnessHop(_provenance(edge), var, evaluate(edge.lhs, lattice, assignment))
-    ]
-    cursor = var
+
+    def hop(index: int, vid: int) -> WitnessHop:
+        value = evaluate(graph.edge_lhs[index], lattice, assignment)
+        return WitnessHop(_provenance(graph, index), variables[vid], value)
+
+    hops: List[WitnessHop] = [hop(*terminal)]
+    cursor = terminal[1]
     while cursor in parents:
-        down_edge, down_var = parents[cursor]
-        hops.append(
-            WitnessHop(
-                _provenance(down_edge),
-                down_var,
-                evaluate(down_edge.lhs, lattice, assignment),
-            )
-        )
-        cursor = down_var
+        down_index, down_vid = parents[cursor]
+        hops.append(hop(down_index, down_vid))
+        cursor = down_vid
     hops.append(check_hop)
     return LeakWitness(conflict, tuple(hops))
 

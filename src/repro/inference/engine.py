@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from repro.ifc.errors import IfcDiagnostic
 from repro.inference.constraints import Constraint
@@ -168,6 +168,7 @@ def _maximise_control_pcs(
     boosted.check_count = solution.check_count
     boosted.iterations = solution.iterations
     if solution.stats is not None and boosted.stats is not None:
+        solution.stats.build_ms += boosted.stats.build_ms
         solution.stats.solve_ms += boosted.stats.solve_ms
         boosted.stats = solution.stats
     return boosted
@@ -212,12 +213,13 @@ class Solver:
         #: solution) hand it over instead of paying a second construction.
         self.graph = graph or PropagationGraph(lattice, constraints, cache=cache)
         self._pins: Dict[LabelVar, Label] = {}
-        self._assignment: Optional[Dict[LabelVar, Label]] = None
+        #: The current assignment: values by graph id, plus the pinned slots
+        #: the graph never mentions (they surface in solutions as pinned).
+        self._values: Optional[List[Label]] = None
+        self._extra: Dict[LabelVar, Label] = {}
         #: Cached per-check verdicts, aligned with ``graph.checks``.
         self._check_results: List[Optional[InferenceConflict]] = []
-        self._check_vars: List[FrozenSet[LabelVar]] = [
-            free_vars(lhs) | free_vars(rhs) for lhs, rhs, _ in self.graph.checks
-        ]
+        self._check_ids: List[FrozenSet[int]] = self.graph.check_var_ids()
         self._solution: Optional[Solution] = None
 
     @property
@@ -230,16 +232,18 @@ class Solver:
         if self._solution is None:
             recorder = current_recorder()
             start = time.perf_counter()
+            graph = self.graph
             with recorder.span(
                 "solver.solve",
-                edges=len(self.graph.edges),
-                variables=len(self.graph.variables),
+                edges=len(graph.edge_target),
+                variables=len(graph.variables),
                 persistent=True,
             ):
-                stats = self.graph._new_stats()
-                self._assignment = self.graph.fresh_assignment(self._pins)
-                self.graph.propagate(self._assignment, stats)
-                self._check_results = self.graph.check_conflicts(self._assignment)
+                stats = graph._new_stats()
+                self._values = graph.fresh_assignment(self._pins)
+                self._extra = self._outside_pins(graph)
+                graph.propagate(self._values, stats)
+                self._check_results = graph.check_conflicts(self._values)
             stats.solve_ms = (time.perf_counter() - start) * 1000.0
             self._solution = self._snapshot(stats)
         return self._solution
@@ -255,7 +259,7 @@ class Solver:
         cone keep their cached verdicts.  The result is identical to a
         from-scratch :meth:`solve` with the updated pins.
         """
-        if self._assignment is None:
+        if self._values is None:
             for var, label in changes.items():
                 self._apply_pin(var, label)
             return self.solve()
@@ -264,8 +268,10 @@ class Solver:
         for var, label in changes.items():
             self._apply_pin(var, label)
         graph = self.graph
-        cone = graph.cone_of(changes)
-        components = {graph.component_of[var] for var in cone}
+        cone = graph.cone_ids(
+            vid for vid in map(graph.id_of, changes) if vid is not None
+        )
+        components = {graph.component_of[vid] for vid in cone}
         with recorder.span(
             "solver.resolve",
             edited=len(changes),
@@ -273,29 +279,26 @@ class Solver:
             components=len(components),
         ):
             stats = graph._new_stats()
+            stats.build_ms = 0.0
             # Reset the cone to ⊥ (plus pins) and replay the schedule over its
             # components; an SCC is entirely inside or outside the cone, so the
             # restricted schedule sees exactly the edges it must revisit.
-            for var in cone:
-                self._assignment[var] = self.lattice.bottom
-                pin = self._pins.get(var)
-                if pin is not None:
-                    self._assignment[var] = pin
-            graph.propagate(self._assignment, stats, components)
+            self._reset_cone(graph, cone, self._values)
+            graph.propagate(self._values, stats, components)
             # Slots outside the graph (never constrained) still surface edits.
             for var, label in changes.items():
-                if var not in graph.component_of:
+                if graph.id_of(var) is None:
                     if label is None:
-                        self._assignment.pop(var, None)
+                        self._extra.pop(var, None)
                     else:
-                        self._assignment[var] = label
+                        self._extra[var] = label
             affected = [
                 index
-                for index, variables in enumerate(self._check_vars)
-                if variables & cone
+                for index, ids in enumerate(self._check_ids)
+                if not ids.isdisjoint(cone)
             ]
             for index, verdict in zip(
-                affected, graph.check_conflicts(self._assignment, affected)
+                affected, graph.check_conflicts(self._values, affected)
             ):
                 self._check_results[index] = verdict
         stats.solve_ms = (time.perf_counter() - start) * 1000.0
@@ -310,7 +313,7 @@ class Solver:
             )
             recorder.count(
                 "solver.resolve.edges_skipped",
-                len(graph.edges) - stats.edges_visited,
+                len(graph.edge_target) - stats.edges_visited,
             )
             recorder.count("solver.resolve.checks_reevaluated", len(affected))
             recorder.count(
@@ -332,10 +335,14 @@ class Solver:
         """
         if self._pins:
             raise ValueError("adopt() requires a pristine solver (no pins)")
-        self._assignment = dict(solution.assignment)
-        for var in self.graph.variables:
-            self._assignment.setdefault(var, self.lattice.bottom)
-        self._check_results = self.graph.check_conflicts(self._assignment)
+        graph = self.graph
+        assignment = solution.assignment
+        bottom = self.lattice.bottom
+        self._values = [assignment.get(var, bottom) for var in graph.variables]
+        self._extra = {
+            var: label for var, label in assignment.items() if graph.id_of(var) is None
+        }
+        self._check_results = graph.check_conflicts(self._values)
         self._solution = solution
 
     def rebase(
@@ -383,44 +390,47 @@ class Solver:
         new_graph = PropagationGraph(self.lattice, constraints, cache=self._cache)
         if self._cache is not None:
             self._cache.retain(constraints)
-        if self._assignment is None:
+        if self._values is None:
             self.graph = new_graph
             self._pins = new_pins
             self._check_results = []
-            self._check_vars = [
-                free_vars(lhs) | free_vars(rhs) for lhs, rhs, _ in new_graph.checks
-            ]
+            self._check_ids = new_graph.check_var_ids()
             self._solution = None
             return self.solve()
-        old_assignment = self._assignment
-        old_keys = {(e.lhs, e.target, e.cover) for e in old_graph.edges}
-        new_keys = {(e.lhs, e.target, e.cover) for e in new_graph.edges}
+        old_values = self._values
+        old_keys = old_graph.edge_keys()
+        new_keys = new_graph.edge_keys()
         added = new_keys - old_keys
         removed = old_keys - new_keys
         seeds = set()
-        for _lhs, target, _cover in added:
-            seeds.add(target)
-        for _lhs, target, _cover in removed:
-            if target in new_graph.component_of:
-                seeds.add(target)
-        carried: Dict[LabelVar, Label] = {}
-        for var in new_graph.variables:
-            value = old_assignment.get(var)
+        for _lhs, target, _cover in added | removed:
+            vid = new_graph.id_of(target)
+            if vid is not None:
+                seeds.add(vid)
+        bottom = self.lattice.bottom
+        carried: List[Label] = [bottom] * len(new_graph.variables)
+        for vid, var in enumerate(new_graph.variables):
+            old = old_graph.id_of(var)
+            if old is not None:
+                carried[vid] = old_values[old]
+                continue
+            value = self._extra.get(var)
             if value is None:
-                seeds.add(var)
-                value = self.lattice.bottom
-            carried[var] = value
+                seeds.add(vid)
+            else:
+                carried[vid] = value
         for var in set(old_pins) | set(new_pins):
-            if var not in new_graph.component_of:
+            vid = new_graph.id_of(var)
+            if vid is None:
                 continue
             before, after = old_pins.get(var), new_pins.get(var)
             if (before is None) != (after is None) or (
                 before is not None and not self.lattice.equal(before, after)
             ):
-                seeds.add(var)
+                seeds.add(vid)
         self._pins = new_pins
-        cone = new_graph.cone_of(seeds)
-        components = {new_graph.component_of[var] for var in cone}
+        cone = new_graph.cone_ids(seeds)
+        components = {new_graph.component_of[vid] for vid in cone}
         with recorder.span(
             "solver.rebase",
             edges_added=len(added),
@@ -430,17 +440,12 @@ class Solver:
             components=len(components),
         ):
             stats = new_graph._new_stats()
-            for var in cone:
-                pin = self._pins.get(var)
-                carried[var] = pin if pin is not None else self.lattice.bottom
+            self._reset_cone(new_graph, cone, carried)
             if components:
                 if self.backend == "graph":
                     new_graph.propagate(carried, stats, components)
                 else:
                     self._solve_cone_packed(new_graph, cone, carried, stats)
-            for var, label in self._pins.items():
-                if var not in new_graph.component_of:
-                    carried[var] = label
             passed = {
                 (lhs, rhs)
                 for (lhs, rhs, _origin), verdict in zip(
@@ -448,23 +453,22 @@ class Solver:
                 )
                 if verdict is None
             }
-            self._check_vars = [
-                free_vars(lhs) | free_vars(rhs) for lhs, rhs, _ in new_graph.checks
-            ]
+            self._check_ids = new_graph.check_var_ids()
             results: List[Optional[InferenceConflict]] = [None] * len(new_graph.checks)
             affected = [
                 index
                 for index, (lhs, rhs, _origin) in enumerate(new_graph.checks)
-                if (lhs, rhs) not in passed or (self._check_vars[index] & cone)
+                if (lhs, rhs) not in passed or not self._check_ids[index].isdisjoint(cone)
             ]
             self.graph = new_graph
-            self._assignment = carried
+            self._values = carried
+            self._extra = self._outside_pins(new_graph)
             for index, verdict in zip(
                 affected, new_graph.check_conflicts(carried, affected)
             ):
                 results[index] = verdict
             self._check_results = results
-        stats.solve_ms = (time.perf_counter() - start) * 1000.0
+        stats.solve_ms = (time.perf_counter() - start) * 1000.0 - new_graph.build_ms
         if recorder.enabled:
             recorder.count("solver.rebase.calls")
             recorder.count("solver.rebase.edges_added", len(added))
@@ -485,11 +489,29 @@ class Solver:
         self._solution = self._snapshot(stats)
         return self._solution
 
+    def _reset_cone(
+        self, graph: PropagationGraph, cone: Set[int], values: List[Label]
+    ) -> None:
+        """Put every cone variable back at ``⊥``, or at its pin."""
+        bottom = self.lattice.bottom
+        for vid in cone:
+            values[vid] = bottom
+        for var, pin in self._pins.items():
+            vid = graph.id_of(var)
+            if vid in cone:
+                values[vid] = pin
+
+    def _outside_pins(self, graph: PropagationGraph) -> Dict[LabelVar, Label]:
+        """The pins on slots ``graph`` never mentions."""
+        return {
+            var: label for var, label in self._pins.items() if graph.id_of(var) is None
+        }
+
     def _solve_cone_packed(
         self,
         graph: PropagationGraph,
-        cone,
-        carried: Dict[LabelVar, Label],
+        cone: Set[int],
+        carried: List[Label],
         stats,
     ) -> None:
         """Re-solve the cone through the configured (packed) backend.
@@ -502,21 +524,22 @@ class Solver:
         witnesses are never computed here -- they always run against the
         main graph, so the output is byte-identical across backends.
         """
+        variables = graph.variables
         sub: List[Constraint] = []
         edge_indices = sorted(
-            {index for var in cone for index in graph.edges_into.get(var, ())}
+            {index for vid in cone for index in graph.edges_into[vid]}
         )
         for index in edge_indices:
-            edge = graph.edges[index]
-            lhs = _substitute(edge.lhs, cone, carried, self.lattice)
-            if edge.cover is None:
-                rhs: Term = VarTerm(edge.target)
-            else:
-                rhs = join_terms(
-                    self.lattice, [VarTerm(edge.target), ConstTerm(edge.cover)]
-                )
-            sub.append(Constraint(lhs, rhs, edge.origin.span, edge.origin.rule))
-        for var in sorted(cone, key=lambda v: v.uid):
+            lhs = _substitute(graph.edge_lhs[index], graph, cone, carried, self.lattice)
+            target: Term = VarTerm(variables[graph.edge_target[index]])
+            cover = graph.edge_cover[index]
+            rhs = target if cover is None else join_terms(
+                self.lattice, [target, ConstTerm(cover)]
+            )
+            origin = graph.edge_origin(index)
+            sub.append(Constraint(lhs, rhs, origin.span, origin.rule))
+        for vid in sorted(cone, key=lambda v: variables[v].uid):
+            var = variables[vid]
             pin = self._pins.get(var)
             if pin is not None:
                 sub.append(
@@ -525,8 +548,8 @@ class Solver:
         solution = solve(
             self.lattice, sub, backend=self.backend, workers=self.workers
         )
-        for var in cone:
-            carried[var] = solution.value_of(var)
+        for vid in cone:
+            carried[vid] = solution.value_of(variables[vid])
         sub_stats = solution.stats
         if sub_stats is not None:
             stats.backend = sub_stats.backend
@@ -547,37 +570,44 @@ class Solver:
             self._pins[var] = label
 
     def _snapshot(self, stats) -> Solution:
+        graph = self.graph
+        assignment = graph.assignment_of(self._values or ())
+        assignment.update(self._extra)
         solution = Solution(
             self.lattice,
-            dict(self._assignment or {}),
+            assignment,
             [c for c in self._check_results if c is not None],
             iterations=stats.worklist_pops,
-            propagation_count=len(self.graph.edges),
-            check_count=len(self.graph.checks),
+            propagation_count=len(graph.edge_target),
+            check_count=len(graph.checks),
         )
         solution.stats = stats
-        solution.graph = self.graph
+        solution.graph = graph
         return solution
 
 
 def _substitute(
     term: Term,
-    cone,
-    carried: Dict[LabelVar, Label],
+    graph: PropagationGraph,
+    cone: Set[int],
+    carried: List[Label],
     lattice: Lattice,
 ) -> Term:
     """Replace out-of-cone variables in ``term`` with their carried values."""
     if isinstance(term, VarTerm):
-        if term.var in cone:
+        vid = graph.id_of(term.var)
+        if vid in cone:
             return term
-        return ConstTerm(carried.get(term.var, lattice.bottom))
+        return ConstTerm(carried[vid])
     if isinstance(term, JoinTerm):
         return join_terms(
-            lattice, [_substitute(part, cone, carried, lattice) for part in term.parts]
+            lattice,
+            [_substitute(part, graph, cone, carried, lattice) for part in term.parts],
         )
     if isinstance(term, MeetTerm):
         return meet_terms(
-            lattice, [_substitute(part, cone, carried, lattice) for part in term.parts]
+            lattice,
+            [_substitute(part, graph, cone, carried, lattice) for part in term.parts],
         )
     return term
 

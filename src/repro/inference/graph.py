@@ -6,12 +6,18 @@ work at scale: edges are revisited in arbitrary order, acyclic regions are
 re-examined long after they have converged, and nothing is reusable between
 solves.  This module makes the propagation structure explicit:
 
-* :class:`PropagationEdge` -- one *deduplicated* edge ``lhs → target``
-  (with the optional join *cover*), carrying every constraint that gave
-  rise to it so unsat cores keep full provenance;
 * :class:`PropagationGraph` -- edges, checks and the variable-level
   adjacency built **once** from a constraint list, condensed into strongly
   connected components with Tarjan's algorithm;
+* dense variable ids -- every variable the system mentions gets an integer
+  id (its position in :attr:`PropagationGraph.variables`, in discovery
+  order), and the whole structure is parallel arrays and lists indexed by
+  those ids, so building, condensing and solving hash ints, not
+  :class:`~repro.inference.terms.LabelVar` objects;
+* :class:`PropagationEdge` -- one *deduplicated* edge ``lhs → target``
+  (with the optional join *cover*), carrying every constraint that gave
+  rise to it so unsat cores keep full provenance; materialised on demand
+  from the arrays (:meth:`PropagationGraph.edge`);
 * SCC-scheduled solving -- components are processed in topological order,
   so every acyclic region is solved in a single pass over its in-edges and
   Kleene iteration is confined to components that are genuine cycles;
@@ -28,9 +34,9 @@ cone's components; everything upstream keeps its converged values and is
 read, never written.
 
 :class:`SolverStats` records what the scheduler did -- component counts,
-edges visited, worklist pops, passes per component -- and is threaded
-through :class:`~repro.inference.solve.Solution` into the pipeline report
-and the CLI (``p4bid --solver-stats``).
+edges visited, worklist pops, passes per component, build and solve time --
+and is threaded through :class:`~repro.inference.solve.Solution` into the
+pipeline report and the CLI (``p4bid --solver-stats``).
 """
 
 from __future__ import annotations
@@ -41,9 +47,11 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -58,7 +66,15 @@ from repro.inference.solve import (
     _height_bound,
     _normalise,
 )
-from repro.inference.terms import LabelVar, Term, evaluate, free_vars
+from repro.inference.terms import (
+    ConstTerm,
+    JoinTerm,
+    LabelVar,
+    MeetTerm,
+    Term,
+    VarTerm,
+    free_vars,
+)
 from repro.lattice.base import Label, Lattice
 from repro.telemetry.instrument import CountingLattice
 from repro.telemetry.recorder import current_recorder
@@ -73,7 +89,10 @@ class NormalisationCache:
     A workspace rebuilding its graph after an edit therefore re-derives
     identical shapes for every *surviving* constraint; this cache skips
     that re-derivation (the originating constraint is re-attached per
-    call, so provenance stays exact).
+    call, so provenance stays exact).  The graph build consults it only
+    for the shapes outside its fast path (a variable or constant flowing
+    into a variable, a variable under a constant bound), which need no
+    derivation at all.
 
     The decomposition consults the lattice (constant folding of join
     covers), so a cache is bound to one lattice and refuses reuse under
@@ -135,16 +154,16 @@ class NormalisationCache:
             checks.append((lhs, rhs, constraint))
 
 
-@dataclass(frozen=True)
-class PropagationEdge:
-    """One deduplicated propagation edge ``lhs → target``.
+class PropagationEdge(NamedTuple):
+    """One deduplicated propagation edge ``lhs → target``, as a record.
 
     ``cover`` is the constant part of a join on the right-hand side: the
     edge propagates nothing while the evaluated left side fits under it.
     ``constraints`` holds *every* originating constraint that normalised to
     this edge (repeated use sites collapse to one edge but keep all their
-    provenance for unsat cores); ``sources`` caches ``free_vars(lhs)`` in
-    uid order so scheduling and slicing never re-derive it.
+    provenance for unsat cores); ``sources`` is ``free_vars(lhs)`` in uid
+    order.  The graph keeps edges as parallel id arrays and builds these
+    records only when asked (:meth:`PropagationGraph.edge`).
     """
 
     lhs: Term
@@ -183,6 +202,11 @@ class SolverStats:
     max_passes: int = 0
     components_solved: int = 0
     solve_ms: float = 0.0
+    #: Time spent building the propagation graph this solve ran on
+    #: (normalisation, edge deduplication and SCC condensation); 0 when
+    #: the solve reused a graph it did not build (``Solver.resolve``).
+    #: ``build_ms + solve_ms`` is the constraints → solution time.
+    build_ms: float = 0.0
     #: What the constant-label pre-solve reduction (``solve(presolve=True)``,
     #: :mod:`repro.analysis.presolve`) folded away before Kleene iteration:
     #: variables whose least value was fixed by constant propagation, and
@@ -226,6 +250,7 @@ class SolverStats:
             "worklist_pops": self.worklist_pops,
             "max_passes": self.max_passes,
             "components_solved": self.components_solved,
+            "build_ms": self.build_ms,
             "solve_ms": self.solve_ms,
             "presolve_resolved_vars": self.presolve_resolved_vars,
             "presolve_pruned_edges": self.presolve_pruned_edges,
@@ -237,18 +262,50 @@ class SolverStats:
             f"{self.edge_count} edge(s) over {self.variable_count} variable(s), "
             f"{self.scc_count} SCC(s) ({self.cyclic_scc_count} cyclic, "
             f"largest {self.largest_scc}), {self.worklist_pops} worklist pop(s), "
-            f"max {self.max_passes} pass(es) per component"
+            f"max {self.max_passes} pass(es) per component, "
+            f"build {self.build_ms:.2f} ms, solve {self.solve_ms:.2f} ms"
         )
+
+
+class _EdgeView(Sequence[PropagationEdge]):
+    """``graph.edges``: the edge arrays read as :class:`PropagationEdge`s."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "PropagationGraph") -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.edge_target)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        return self._graph.edge(index)
 
 
 class PropagationGraph:
     """The propagation structure of one constraint system, built once.
 
-    Construction normalises the constraints (exactly as the seed solver
-    did), deduplicates edges by ``(lhs, target, cover)``, indexes them by
-    source and by target, and condenses the variable-level graph into
-    strongly connected components in topological order.  Solving and
-    incremental re-solving then only *schedule* over this structure.
+    Construction gives every variable a dense id, normalises the
+    constraints (exactly as the seed solver did), deduplicates edges by
+    ``(lhs, target, cover)``, indexes them by source and by target, and
+    condenses the variable-level graph into strongly connected components
+    in topological order.  Solving and incremental re-solving then only
+    *schedule* over this structure.
+
+    Ids follow discovery order: the uid-sorted variables of each
+    constraint, in constraint order.  Edges are parallel arrays --
+    :attr:`edge_lhs`, :attr:`edge_target` (an id), :attr:`edge_sources` (ids,
+    in uid order), :attr:`edge_cover` -- and :attr:`edges_into`,
+    :attr:`dependents` and :attr:`component_of` are lists indexed by id.
+    Assignments passed to :meth:`propagate`, :meth:`check_conflicts` and
+    :meth:`unsat_core` are lists of labels indexed by id
+    (:meth:`fresh_assignment`); :meth:`solve` decodes its result into a
+    ``LabelVar``-keyed :class:`~repro.inference.solve.Solution`.
+
+    Variables are looked up by uid, which is unique within one variable
+    supply; a system merged from several supplies can hold distinct
+    variables sharing a uid, and those get ids of their own through an
+    alias table that only such collisions consult.
     """
 
     def __init__(
@@ -265,159 +322,315 @@ class PropagationGraph:
         self._cache = cache
         self.lattice = lattice
         self.constraints: List[Constraint] = list(constraints)
-        self.edges: List[PropagationEdge] = []
         self.checks: List[Tuple[Term, Term, Constraint]] = []
-        #: Every variable the system mentions, in discovery order.
+        #: Every variable the system mentions; its index is its id.
         self.variables: List[LabelVar] = []
-        #: var -> edge indices whose *left side* mentions it.
-        self.dependents: Dict[LabelVar, List[int]] = {}
-        #: var -> edge indices *targeting* it.
-        self.edges_into: Dict[LabelVar, List[int]] = {}
+        #: uid -> id of the first variable seen with that uid; later,
+        #: distinct variables with a taken uid map in ``_aliases``.
+        self.ids: Dict[int, int] = {}
+        self._aliases: Dict[LabelVar, int] = {}
+        self.edge_lhs: List[Term] = []
+        self.edge_target: List[int] = []
+        self.edge_sources: List[Tuple[int, ...]] = []
+        self.edge_cover: List[Optional[Label]] = []
+        #: The first originating constraint of each edge; further distinct
+        #: ones (rare: repeated use sites) in ``_more_origins``.
+        self._origins: List[Constraint] = []
+        self._more_origins: Dict[int, List[Constraint]] = {}
+        #: id -> edge indices whose *left side* mentions it.
+        self.dependents: List[List[int]] = []
+        #: id -> edge indices *targeting* it.
+        self.edges_into: List[List[int]] = []
+        #: SCCs of the variable graph (tuples of ids), dependencies first.
+        self.components: List[Tuple[int, ...]] = []
+        #: id -> index of its component.
+        self.component_of: List[int] = []
+        self._cyclic: List[bool] = []
         recorder = current_recorder()
+        start = time.perf_counter()
         with recorder.span("solver.build", constraints=len(self.constraints)):
             with recorder.span("solver.normalise"):
-                self._build_edges()
-            #: SCCs of the variable graph, dependencies (sources) first.
-            self.components: List[Tuple[LabelVar, ...]] = []
-            self.component_of: Dict[LabelVar, int] = {}
-            self._cyclic: List[bool] = []
+                self_loops = self._build_edges()
             with recorder.span("solver.condense"):
-                self._condense()
+                self._condense(self_loops)
+        #: Wall time of normalisation, deduplication and condensation.
+        self.build_ms = (time.perf_counter() - start) * 1000.0
         self._height = _height_bound(lattice)
         if recorder.enabled:
             recorder.count("solver.graphs_built")
-            recorder.count("solver.edges_built", len(self.edges))
+            recorder.count("solver.edges_built", len(self.edge_target))
             recorder.count("solver.sccs_built", len(self.components))
 
     # -- construction -------------------------------------------------------
 
-    def _build_edges(self) -> None:
-        raw: List[Tuple[Term, LabelVar, Constraint, Optional[Label]]] = []
-        checks: List[Tuple[Term, Term, Constraint]] = []
-        seen_vars: Set[LabelVar] = set()
-        for constraint in self.constraints:
-            if self._cache is not None:
-                self._cache.normalise(constraint, raw, checks)
+    def _build_edges(self) -> Set[int]:
+        """Intern variables, normalise and deduplicate edges; returns the
+        ids with an edge into themselves."""
+        variables = self.variables
+        ids = self.ids
+        dependents = self.dependents
+        edges_into = self.edges_into
+        edge_lhs = self.edge_lhs
+        edge_target = self.edge_target
+        edge_sources = self.edge_sources
+        edge_cover = self.edge_cover
+        origins = self._origins
+        checks = self.checks
+        self_loops: Set[int] = set()
+        # Deduplication by (lhs, target, cover), on int keys where the shape
+        # allows: repeated use sites emit the same edge over and over; one
+        # edge suffices for propagation, but every originating constraint
+        # is kept for unsat-core provenance.  The three key spaces hold
+        # disjoint shapes, so together they still key every edge by its
+        # (lhs, target, cover).
+        by_var_edge: Dict[int, int] = {}  # src << 32 | target, no cover
+        by_const_edge: Dict[Tuple[int, Label], int] = {}  # (target, label)
+        by_term_edge: Dict[Tuple[Term, int, Optional[Label]], int] = {}
+
+        aliases = self._aliases
+
+        def intern(var: LabelVar) -> int:
+            vid = ids.get(var.uid)
+            if vid is not None and (variables[vid] is var or variables[vid] == var):
+                return vid
+            if vid is not None:
+                vid = aliases.get(var)
+                if vid is not None:
+                    return vid
+                vid = aliases[var] = len(variables)
             else:
-                _normalise(
-                    self.lattice, constraint, constraint.lhs, constraint.rhs, raw, checks
-                )
+                vid = ids[var.uid] = len(variables)
+            variables.append(var)
+            dependents.append([])
+            edges_into.append([])
+            return vid
+
+        id_of = self.id_of
+
+        def add_edge(
+            lhs: Term,
+            target: int,
+            cover: Optional[Label],
+            constraint: Constraint,
+            source: int = -1,
+        ) -> None:
+            kind = type(lhs)
+            if cover is None and kind is VarTerm:
+                if source < 0:
+                    source = id_of(lhs.var)
+                table: Dict[Any, int] = by_var_edge
+                key: Any = source << 32 | target
+            elif cover is None and kind is ConstTerm:
+                table, key = by_const_edge, (target, lhs.label)
+            else:
+                table, key = by_term_edge, (lhs, target, cover)
+            index = table.get(key)
+            if index is not None:
+                self._add_origin(index, constraint)
+                return
+            if table is by_var_edge:
+                sources: Tuple[int, ...] = (source,)
+            elif table is by_const_edge:
+                sources = ()
+            else:
+                sources = self.term_ids(lhs)
+            index = table[key] = len(edge_target)
+            edge_lhs.append(lhs)
+            edge_target.append(target)
+            edge_sources.append(sources)
+            edge_cover.append(cover)
+            origins.append(constraint)
+            edges_into[target].append(index)
+            for source in sources:
+                dependents[source].append(index)
+            if target in sources:
+                self_loops.add(target)
+
+        raw: List[Tuple[Term, LabelVar, Constraint, Optional[Label]]] = []
+        for constraint in self.constraints:
+            lhs, rhs = constraint.lhs, constraint.rhs
+            lhs_kind, rhs_kind = type(lhs), type(rhs)
+            # Fast path: the shapes nearly every real system consists of,
+            # which normalise to themselves.  Variables are interned in
+            # uid order, as the general path below does.
+            if rhs_kind is VarTerm and lhs_kind is VarTerm:
+                source_var, target_var = lhs.var, rhs.var
+                if source_var.uid < target_var.uid:
+                    source = intern(source_var)
+                    add_edge(lhs, intern(target_var), None, constraint, source)
+                    continue
+                if source_var.uid > target_var.uid:
+                    target = intern(target_var)
+                    add_edge(lhs, target, None, constraint, intern(source_var))
+                    continue
+            if rhs_kind is VarTerm and lhs_kind is ConstTerm:
+                add_edge(lhs, intern(rhs.var), None, constraint)
+                continue
+            if rhs_kind is ConstTerm and lhs_kind is VarTerm:
+                intern(lhs.var)
+                checks.append((lhs, rhs, constraint))
+                continue
             # ``variables()`` is a frozenset; iterate it in uid order so the
             # discovery order -- and with it the Tarjan visit order, the
             # component numbering and ultimately unsat-core ordering -- is
             # identical across runs regardless of PYTHONHASHSEED.
             for var in sorted(constraint.variables(), key=lambda v: v.uid):
-                if var not in seen_vars:
-                    seen_vars.add(var)
-                    self.variables.append(var)
-        self.checks = checks
-        # Deduplicate by (lhs, target, cover): repeated use sites emit the
-        # same edge over and over; one edge suffices for propagation, but
-        # every originating constraint is kept for unsat-core provenance.
-        by_key: Dict[Tuple[Term, LabelVar, Optional[Label]], int] = {}
-        origins: List[List[Constraint]] = []
-        origin_sets: List[Set[Constraint]] = []
-        shapes: List[Tuple[Term, LabelVar, Optional[Label]]] = []
-        for lhs, target, origin, cover in raw:
-            key = (lhs, target, cover)
-            index = by_key.get(key)
-            if index is None:
-                by_key[key] = len(shapes)
-                shapes.append(key)
-                origins.append([origin])
-                origin_sets.append({origin})
-            elif origin not in origin_sets[index]:
-                origin_sets[index].add(origin)
-                origins[index].append(origin)
-        for (lhs, target, cover), edge_origins in zip(shapes, origins):
-            sources = tuple(sorted(free_vars(lhs), key=lambda v: v.uid))
-            index = len(self.edges)
-            self.edges.append(
-                PropagationEdge(lhs, target, cover, tuple(edge_origins), sources)
-            )
-            self.edges_into.setdefault(target, []).append(index)
-            for var in sources:
-                self.dependents.setdefault(var, []).append(index)
+                intern(var)
+            if self._cache is not None:
+                self._cache.normalise(constraint, raw, checks)
+            else:
+                _normalise(self.lattice, constraint, lhs, rhs, raw, checks)
+            for edge_lhs_term, target_var, origin, cover in raw:
+                add_edge(edge_lhs_term, id_of(target_var), cover, origin)
+            raw.clear()
+        return self_loops
 
-    def _successors(self, var: LabelVar) -> List[LabelVar]:
-        seen: Set[LabelVar] = set()
-        result: List[LabelVar] = []
-        for index in self.dependents.get(var, ()):
-            target = self.edges[index].target
-            if target not in seen:
-                seen.add(target)
-                result.append(target)
-        return result
+    def _add_origin(self, index: int, constraint: Constraint) -> None:
+        """Record ``constraint`` as a further origin of edge ``index``
+        unless an equal one is already there."""
+        first = self._origins[index]
+        if first is constraint:
+            return
+        more = self._more_origins.get(index)
+        if more is None:
+            if first != constraint:
+                self._more_origins[index] = [constraint]
+        elif first != constraint and constraint not in more:
+            more.append(constraint)
 
-    def _condense(self) -> None:
-        """Tarjan's SCC algorithm (iterative), components in topological
-        order of the propagation direction: sources before sinks."""
-        index_of: Dict[LabelVar, int] = {}
-        lowlink: Dict[LabelVar, int] = {}
-        on_stack: Set[LabelVar] = set()
-        stack: List[LabelVar] = []
-        emitted: List[Tuple[LabelVar, ...]] = []
+    def _condense(self, self_loops: Set[int]) -> None:
+        """Tarjan's SCC algorithm (iterative, over ids), components in
+        topological order of the propagation direction: sources before
+        sinks."""
+        count = len(self.variables)
+        dependents = self.dependents
+        edge_target = self.edge_target
+        # A finished node's index becomes ``count``, above every live
+        # index, so it never lowers a lowlink: no separate on-stack set.
+        done = count
+        index_of = [-1] * count
+        lowlink = [0] * count
+        stack: List[int] = []
+        emitted: List[Tuple[int, ...]] = []
         counter = 0
-        for root in self.variables:
-            if root in index_of:
+        for root in range(count):
+            if index_of[root] >= 0:
                 continue
-            work: List[Tuple[LabelVar, Iterable[LabelVar]]] = [
-                (root, iter(self._successors(root)))
-            ]
             index_of[root] = lowlink[root] = counter
             counter += 1
             stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for succ in successors:
-                    if succ not in index_of:
+            # The DFS path, and how far into its dependents each node got.
+            nodes = [root]
+            positions = [0]
+            while nodes:
+                node = nodes[-1]
+                out = dependents[node]
+                position = positions[-1]
+                low = lowlink[node]
+                descended = False
+                while position < len(out):
+                    succ = edge_target[out[position]]
+                    position += 1
+                    seen = index_of[succ]
+                    if seen < 0:
+                        positions[-1] = position
+                        lowlink[node] = low
                         index_of[succ] = lowlink[succ] = counter
                         counter += 1
                         stack.append(succ)
-                        on_stack.add(succ)
-                        work.append((succ, iter(self._successors(succ))))
-                        advanced = True
+                        nodes.append(succ)
+                        positions.append(0)
+                        descended = True
                         break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index_of[succ])
-                if advanced:
+                    if seen < low:
+                        low = seen
+                if descended:
                     continue
-                work.pop()
-                if lowlink[node] == index_of[node]:
-                    component: List[LabelVar] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    emitted.append(tuple(component))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
+                nodes.pop()
+                positions.pop()
+                if low == index_of[node]:
+                    member = stack.pop()
+                    index_of[member] = done
+                    if member == node:
+                        emitted.append((node,))
+                    else:
+                        component = [member]
+                        while member != node:
+                            member = stack.pop()
+                            index_of[member] = done
+                            component.append(member)
+                        emitted.append(tuple(component))
+                elif low < lowlink[nodes[-1]]:
+                    lowlink[nodes[-1]] = low
         # Tarjan emits an SCC only after everything it reaches; reversing
         # the emission order puts dependencies (sources) first.
         emitted.reverse()
         self.components = emitted
+        component_of = [0] * count
         for comp_index, component in enumerate(emitted):
             for var in component:
-                self.component_of[var] = comp_index
+                component_of[var] = comp_index
+        self.component_of = component_of
         self._cyclic = [
-            len(component) > 1
-            or any(
-                component[0] in self.edges[i].sources
-                for i in self.edges_into.get(component[0], ())
-            )
-            for component in self.components
+            len(component) > 1 or component[0] in self_loops
+            for component in emitted
         ]
         # Cached once: stats snapshots read these per solve, and scanning
         # 100k+ components each time is measurable at mega scale.
-        self._cyclic_count = sum(1 for cyclic in self._cyclic if cyclic)
-        self._largest = max((len(c) for c in self.components), default=0)
+        self._cyclic_count = sum(self._cyclic)
+        self._largest = max((len(c) for c in emitted), default=0)
 
     # -- structure queries ---------------------------------------------------
+
+    @property
+    def edges(self) -> Sequence[PropagationEdge]:
+        """The edges as :class:`PropagationEdge` records, built on access."""
+        return _EdgeView(self)
+
+    def edge(self, index: int) -> PropagationEdge:
+        """Edge ``index`` as a :class:`PropagationEdge` record."""
+        variables = self.variables
+        return PropagationEdge(
+            self.edge_lhs[index],
+            variables[self.edge_target[index]],
+            self.edge_cover[index],
+            self.edge_constraints(index),
+            tuple(variables[source] for source in self.edge_sources[index]),
+        )
+
+    def edge_constraints(self, index: int) -> Tuple[Constraint, ...]:
+        """Every constraint that normalised to edge ``index``, in order."""
+        more = self._more_origins.get(index)
+        first = self._origins[index]
+        return (first,) if more is None else (first, *more)
+
+    def edge_origin(self, index: int) -> Constraint:
+        """The first constraint that produced edge ``index``."""
+        return self._origins[index]
+
+    def edge_value(
+        self, index: int, values: Sequence[Label], lattice: Optional[Lattice] = None
+    ) -> Label:
+        """The value edge ``index``'s left side evaluates to under ``values``."""
+        lhs = self.edge_lhs[index]
+        kind = type(lhs)
+        if kind is VarTerm:
+            return values[self.edge_sources[index][0]]
+        if kind is ConstTerm:
+            return lhs.label
+        return self._evaluate(lhs, lattice or self.lattice, values)
+
+    def _evaluate(self, term: Term, lattice: Lattice, values: Sequence[Label]) -> Label:
+        """:func:`~repro.inference.terms.evaluate` over ``values`` by id."""
+        if isinstance(term, VarTerm):
+            return values[self.id_of(term.var)]  # type: ignore[index]
+        if isinstance(term, ConstTerm):
+            return term.label
+        if isinstance(term, JoinTerm):
+            return lattice.join_all(self._evaluate(p, lattice, values) for p in term.parts)
+        if isinstance(term, MeetTerm):
+            return lattice.meet_all(self._evaluate(p, lattice, values) for p in term.parts)
+        raise TypeError(f"cannot evaluate {type(term).__name__}")
 
     @property
     def cyclic_component_count(self) -> int:
@@ -427,6 +640,48 @@ class PropagationGraph:
     def largest_component(self) -> int:
         return self._largest
 
+    def id_of(self, var: LabelVar) -> Optional[int]:
+        """The id of ``var``, or ``None`` when the system never mentions it."""
+        vid = self.ids.get(var.uid)
+        if vid is None:
+            return None
+        known = self.variables[vid]
+        if known is var or known == var:
+            return vid
+        return self._aliases.get(var)
+
+    def term_ids(self, term: Term) -> Tuple[int, ...]:
+        """Ids of ``term``'s variables, in uid order (all must be known)."""
+        return tuple(
+            map(self.id_of, sorted(free_vars(term), key=lambda v: v.uid))
+        )  # type: ignore[arg-type]
+
+    def check_var_ids(self) -> List[FrozenSet[int]]:
+        """Per check (aligned with :attr:`checks`), the ids it mentions."""
+        return [
+            frozenset(self.term_ids(lhs) + self.term_ids(rhs))
+            for lhs, rhs, _origin in self.checks
+        ]
+
+    def component_of_var(self, var: LabelVar) -> Optional[int]:
+        """The component index of ``var`` (``None`` when not in the graph)."""
+        vid = self.id_of(var)
+        return None if vid is None else self.component_of[vid]
+
+    def cone_ids(self, seeds: Iterable[int]) -> Set[int]:
+        """Forward closure of the ids ``seeds`` along the propagation edges."""
+        dependents = self.dependents
+        edge_target = self.edge_target
+        pending: deque = deque(seeds)
+        cone: Set[int] = set(pending)
+        while pending:
+            for index in dependents[pending.popleft()]:
+                target = edge_target[index]
+                if target not in cone:
+                    cone.add(target)
+                    pending.append(target)
+        return cone
+
     def cone_of(self, slots: Iterable[LabelVar]) -> Set[LabelVar]:
         """Forward closure of ``slots`` along the propagation edges.
 
@@ -435,53 +690,49 @@ class PropagationGraph:
         an SCC reach each other, the cone is always a union of whole
         components.
         """
-        pending: deque = deque(var for var in slots if var in self.component_of)
-        cone: Set[LabelVar] = set(pending)
-        while pending:
-            var = pending.popleft()
-            for index in self.dependents.get(var, ()):
-                target = self.edges[index].target
-                if target not in cone:
-                    cone.add(target)
-                    pending.append(target)
-        return cone
+        seeds = [vid for vid in map(self.id_of, slots) if vid is not None]
+        variables = self.variables
+        return {variables[vid] for vid in self.cone_ids(seeds)}
+
+    def edge_keys(self) -> Set[Tuple[Term, LabelVar, Optional[Label]]]:
+        """Every edge's dedup key ``(lhs, target, cover)``.
+
+        The keys name variables, not ids, so two graphs over overlapping
+        constraint systems (a rebase) can diff their edge sets.
+        """
+        variables = self.variables
+        return {
+            (lhs, variables[target], cover)
+            for lhs, target, cover in zip(self.edge_lhs, self.edge_target, self.edge_cover)
+        }
 
     # -- solving -------------------------------------------------------------
 
     def _run_component(
         self,
         comp_index: int,
-        assignment: Dict[LabelVar, Label],
+        values: List[Label],
         stats: SolverStats,
         lattice: Optional[Lattice] = None,
     ) -> None:
+        if not self._cyclic[comp_index]:
+            self._schedule((comp_index,), values, stats, lattice)
+            return
         lattice = lattice or self.lattice
-        edges = self.edges
         component = self.components[comp_index]
-        in_edges: List[int] = []
-        for var in component:
-            in_edges.extend(self.edges_into.get(var, ()))
+        in_edges = [index for var in component for index in self.edges_into[var]]
         if not in_edges:
             return
+        edge_cover = self.edge_cover
+        edge_target = self.edge_target
+        leq = lattice.leq
+        join = lattice.join
         stats.components_solved += 1
         # Every in-edge is seeded (and so evaluated) exactly once per
         # component, and each edge belongs to exactly one component.
         stats.edges_visited += len(in_edges)
-        if not self._cyclic[comp_index]:
-            # Acyclic component: all sources are already converged (earlier
-            # components) so one sweep over the in-edges is the fixpoint --
-            # no worklist bookkeeping at all.
-            for index in in_edges:
-                stats.worklist_pops += 1
-                edge = edges[index]
-                value = evaluate(edge.lhs, lattice, assignment)
-                if edge.cover is not None and lattice.leq(value, edge.cover):
-                    continue
-                current = assignment[edge.target]
-                if not lattice.leq(value, current):
-                    assignment[edge.target] = lattice.join(current, value)
-            stats.max_passes = max(stats.max_passes, 1)
-            return
+        dependents = self.dependents
+        component_of = self.component_of
         pending: deque = deque(in_edges)
         queued: Set[int] = set(in_edges)
         pops = 0
@@ -499,20 +750,21 @@ class PropagationGraph:
                     "constraint solving did not converge; the lattice violates "
                     "the ascending chain condition"
                 )
-            edge = edges[index]
-            value = evaluate(edge.lhs, lattice, assignment)
-            if edge.cover is not None and lattice.leq(value, edge.cover):
+            value = self.edge_value(index, values, lattice)
+            cover = edge_cover[index]
+            if cover is not None and leq(value, cover):
                 continue  # the join's constant part absorbs the flow
-            current = assignment[edge.target]
-            if not lattice.leq(value, current):
-                assignment[edge.target] = lattice.join(current, value)
-                for dependent in self.dependents.get(edge.target, ()):
+            target = edge_target[index]
+            current = values[target]
+            if not leq(value, current):
+                values[target] = join(current, value)
+                for dependent in dependents[target]:
                     # Only edges inside this component can need re-examining
                     # now: edges into later components are seeded wholesale
                     # when their component's turn comes, and topological
                     # order guarantees no edge leads to an earlier one.
                     if (
-                        self.component_of[edges[dependent].target] == comp_index
+                        component_of[edge_target[dependent]] == comp_index
                         and dependent not in queued
                     ):
                         queued.add(dependent)
@@ -521,13 +773,71 @@ class PropagationGraph:
             stats.max_passes, -(-pops // len(in_edges))  # ceil division
         )
 
+    def _schedule(
+        self,
+        order: Iterable[int],
+        values: List[Label],
+        stats: SolverStats,
+        lattice: Optional[Lattice] = None,
+    ) -> None:
+        """Solve the components ``order`` names, in that order.
+
+        An acyclic component is a singleton whose sources are all in
+        earlier components, so one sweep over its in-edges is its
+        fixpoint -- no worklist bookkeeping at all.  That case runs inline
+        here (most components are acyclic singletons, and a call per
+        component costs more than its sweep); cyclic components iterate
+        in :meth:`_run_component`.
+        """
+        lattice = lattice or self.lattice
+        leq = lattice.leq
+        join = lattice.join
+        components = self.components
+        cyclic = self._cyclic
+        edges_into = self.edges_into
+        edge_lhs = self.edge_lhs
+        edge_sources = self.edge_sources
+        edge_cover = self.edge_cover
+        edge_target = self.edge_target
+        solved = visited = 0
+        for comp_index in order:
+            if cyclic[comp_index]:
+                self._run_component(comp_index, values, stats, lattice)
+                continue
+            in_edges = edges_into[components[comp_index][0]]
+            if not in_edges:
+                continue
+            solved += 1
+            visited += len(in_edges)
+            for index in in_edges:
+                lhs = edge_lhs[index]
+                kind = type(lhs)
+                if kind is VarTerm:
+                    value = values[edge_sources[index][0]]
+                elif kind is ConstTerm:
+                    value = lhs.label
+                else:
+                    value = self._evaluate(lhs, lattice, values)
+                cover = edge_cover[index]
+                if cover is not None and leq(value, cover):
+                    continue
+                target = edge_target[index]
+                current = values[target]
+                if not leq(value, current):
+                    values[target] = join(current, value)
+        if solved:
+            stats.components_solved += solved
+            stats.edges_visited += visited
+            stats.worklist_pops += visited
+            stats.max_passes = max(stats.max_passes, 1)
+
     def propagate(
         self,
-        assignment: Dict[LabelVar, Label],
+        values: List[Label],
         stats: SolverStats,
         component_indices: Optional[Iterable[int]] = None,
     ) -> None:
-        """Run the SCC-condensed schedule over ``assignment`` in place.
+        """Run the SCC-condensed schedule over ``values`` (by id) in place.
 
         With ``component_indices`` the schedule is restricted to those
         components (still in topological order); everything else is treated
@@ -540,16 +850,14 @@ class PropagationGraph:
         )
         recorder = current_recorder()
         if not recorder.enabled:
-            # The disabled hot path: identical to the uninstrumented
-            # schedule, no per-component telemetry work at all.
-            for comp_index in order:
-                self._run_component(comp_index, assignment, stats)
+            # The disabled hot path: no per-component telemetry work at all.
+            self._schedule(order, values, stats)
             return
         counting = CountingLattice(self.lattice, recorder, scope="propagate")
         with recorder.span("solver.propagate", components=len(order)):
             for comp_index in order:
                 component = self.components[comp_index]
-                if not any(var in self.edges_into for var in component):
+                if not any(self.edges_into[var] for var in component):
                     continue  # no in-edges: nothing to solve or record
                 before = stats.worklist_pops
                 with recorder.span(
@@ -558,7 +866,7 @@ class PropagationGraph:
                     size=len(component),
                     cyclic=self._cyclic[comp_index],
                 ) as span:
-                    self._run_component(comp_index, assignment, stats, counting)
+                    self._run_component(comp_index, values, stats, counting)
                     span.attrs["pops"] = stats.worklist_pops - before
                 recorder.observe(
                     "solver.pops_per_component", stats.worklist_pops - before
@@ -567,13 +875,28 @@ class PropagationGraph:
 
     def fresh_assignment(
         self, overrides: Optional[Mapping[LabelVar, Label]] = None
-    ) -> Dict[LabelVar, Label]:
-        """Every variable at ``⊥``, with ``overrides`` joined on as floors."""
-        assignment = {var: self.lattice.bottom for var in self.variables}
+    ) -> List[Label]:
+        """Every variable at ``⊥``, by id, with ``overrides`` joined on as
+        floors (overrides for variables outside the graph are ignored)."""
+        lattice = self.lattice
+        values = [lattice.bottom] * len(self.variables)
         for var, label in (overrides or {}).items():
-            assignment[var] = self.lattice.join(
-                assignment.get(var, self.lattice.bottom), label
-            )
+            vid = self.id_of(var)
+            if vid is not None:
+                values[vid] = lattice.join(values[vid], label)
+        return values
+
+    def assignment_of(
+        self,
+        values: Sequence[Label],
+        overrides: Optional[Mapping[LabelVar, Label]] = None,
+    ) -> Dict[LabelVar, Label]:
+        """``values`` (by id) as a ``LabelVar``-keyed assignment, plus the
+        ``overrides`` of variables outside the graph (their own floors)."""
+        assignment = dict(zip(self.variables, values))
+        for var, label in (overrides or {}).items():
+            if self.id_of(var) is None:
+                assignment[var] = self.lattice.join(self.lattice.bottom, label)
         return assignment
 
     def solve(
@@ -595,20 +918,20 @@ class PropagationGraph:
         recorder = current_recorder()
         start = time.perf_counter()
         with recorder.span(
-            "solver.solve", edges=len(self.edges), variables=len(self.variables)
+            "solver.solve", edges=len(self.edge_target), variables=len(self.variables)
         ):
             stats = self._new_stats()
-            assignment = self.fresh_assignment(overrides)
+            values = self.fresh_assignment(overrides)
             skip_components: Optional[Set[int]] = None
             if presolve:
                 from repro.analysis.presolve import presolve_graph
 
                 reduction = presolve_graph(self, overrides)
-                reduction.apply(assignment, stats)
+                reduction.apply(values, stats)
                 skip_components = reduction.resolved_components
             if skip_components:
                 self.propagate(
-                    assignment,
+                    values,
                     stats,
                     (
                         index
@@ -617,8 +940,9 @@ class PropagationGraph:
                     ),
                 )
             else:
-                self.propagate(assignment, stats)
-            conflicts = [c for c in self.check_conflicts(assignment) if c is not None]
+                self.propagate(values, stats)
+            conflicts = [c for c in self.check_conflicts(values) if c is not None]
+            assignment = self.assignment_of(values, overrides)
         stats.solve_ms = (time.perf_counter() - start) * 1000.0
         if recorder.enabled:
             recorder.count("solver.solves")
@@ -637,7 +961,7 @@ class PropagationGraph:
             assignment,
             conflicts,
             iterations=stats.worklist_pops,
-            propagation_count=len(self.edges),
+            propagation_count=len(self.edge_target),
             check_count=len(self.checks),
         )
         solution.stats = stats
@@ -647,21 +971,22 @@ class PropagationGraph:
     def _new_stats(self) -> SolverStats:
         return SolverStats(
             variable_count=len(self.variables),
-            edge_count=len(self.edges),
+            edge_count=len(self.edge_target),
             check_count=len(self.checks),
             scc_count=len(self.components),
             cyclic_scc_count=self.cyclic_component_count,
             largest_scc=self.largest_component,
+            build_ms=self.build_ms,
         )
 
     # -- checks and unsat cores ---------------------------------------------
 
     def check_conflicts(
         self,
-        assignment: Dict[LabelVar, Label],
+        values: Sequence[Label],
         check_indices: Optional[Iterable[int]] = None,
     ) -> List[Optional[InferenceConflict]]:
-        """Evaluate checks (all, or the given indices) under ``assignment``.
+        """Evaluate checks (all, or the given indices) under ``values``.
 
         The result is aligned with :attr:`checks` when run in full; when
         restricted, it is aligned with ``check_indices`` -- the caller
@@ -678,12 +1003,12 @@ class PropagationGraph:
         with recorder.span("solver.check", checks=len(indices)):
             for index in indices:
                 lhs, rhs, origin = self.checks[index]
-                observed = evaluate(lhs, lattice, assignment)
-                required = evaluate(rhs, lattice, assignment)
+                observed = self._evaluate(lhs, lattice, values)
+                required = self._evaluate(rhs, lattice, values)
                 if lattice.leq(observed, required):
                     results.append(None)
                 else:
-                    core = self.unsat_core(assignment, lhs, required)
+                    core = self.unsat_core(values, lhs, required)
                     results.append(
                         InferenceConflict(origin, observed, required, tuple(core))
                     )
@@ -693,7 +1018,7 @@ class PropagationGraph:
         return results
 
     def unsat_core(
-        self, assignment: Dict[LabelVar, Label], lhs: Term, bound: Label
+        self, values: Sequence[Label], lhs: Term, bound: Label
     ) -> List[Constraint]:
         """Slice backwards from ``lhs`` through the edges that pushed it
         above ``bound``.
@@ -708,36 +1033,34 @@ class PropagationGraph:
         """
         recorder = current_recorder()
         with recorder.span("solver.unsat-core"):
-            return self._unsat_core(assignment, lhs, bound)
+            return self._unsat_core(values, lhs, bound)
 
     def _unsat_core(
-        self, assignment: Dict[LabelVar, Label], lhs: Term, bound: Label
+        self, values: Sequence[Label], lhs: Term, bound: Label
     ) -> List[Constraint]:
         lattice = self.lattice
         blamed: deque = deque(
-            var
-            for var in sorted(free_vars(lhs), key=lambda v: v.uid)
-            if not lattice.leq(assignment[var], bound)
+            vid for vid in self.term_ids(lhs) if not lattice.leq(values[vid], bound)
         )
-        visited: Set[LabelVar] = set(blamed)
+        visited: Set[int] = set(blamed)
         core: List[Constraint] = []
         in_core: Set[Constraint] = set()
         while blamed:
-            var = blamed.popleft()
-            for index in self.edges_into.get(var, ()):
-                edge = self.edges[index]
-                value = evaluate(edge.lhs, lattice, assignment)
-                if edge.cover is not None and lattice.leq(value, edge.cover):
+            vid = blamed.popleft()
+            for index in self.edges_into[vid]:
+                value = self.edge_value(index, values)
+                cover = self.edge_cover[index]
+                if cover is not None and lattice.leq(value, cover):
                     continue  # the edge propagated nothing (flow was covered)
                 if lattice.leq(value, bound):
                     continue  # this edge alone kept the variable within bounds
-                for origin in edge.constraints:
+                for origin in self.edge_constraints(index):
                     if origin not in in_core:
                         in_core.add(origin)
                         core.append(origin)
-                for upstream in edge.sources:
+                for upstream in self.edge_sources[index]:
                     if upstream not in visited and not lattice.leq(
-                        assignment[upstream], bound
+                        values[upstream], bound
                     ):
                         visited.add(upstream)
                         blamed.append(upstream)

@@ -51,6 +51,7 @@ leak-path witnesses bit-for-bit against ``backend="graph"`` and
 from __future__ import annotations
 
 import time
+from array import array
 from collections import defaultdict
 from typing import (
     Any,
@@ -389,44 +390,44 @@ def codec_for(lattice: Lattice) -> Optional[LabelCodec]:
 
 
 def _term_spec(
-    term: Term, codec: LabelCodec, var_index: Mapping[LabelVar, int]
+    term: Term, sources: Tuple[int, ...], codec: LabelCodec, graph
 ) -> Tuple[int, Optional[Tuple[int, ...]], Optional[str]]:
     """Compile one left-hand term to ``(const_bits, sources, expr)``.
 
-    Join-shaped terms (the overwhelming majority) become the *fast* form:
-    constant bits plus a tuple of source variable indices, OR-ed inline by
-    the sweep loop.  Anything containing a meet compiles to a Python int
-    expression over ``V`` (the values list), evaluated as one call per
-    edge -- still orders of magnitude cheaper than the recursive object
-    evaluator.
+    ``sources`` are ``graph``'s ids of the term's variables.  Join-shaped
+    terms (the overwhelming majority) become the *fast* form: constant
+    bits plus a tuple of source variable ids, OR-ed inline by the sweep
+    loop.  Anything containing a meet compiles to a Python int expression
+    over ``V`` (the values list), evaluated as one call per edge -- still
+    orders of magnitude cheaper than the recursive object evaluator.
     """
+    if isinstance(term, VarTerm):
+        return 0, sources, None
     if isinstance(term, ConstTerm):
         return codec.encode(term.label), (), None
-    if isinstance(term, VarTerm):
-        return 0, (var_index[term.var],), None
     if isinstance(term, JoinTerm) and all(
         isinstance(part, (ConstTerm, VarTerm)) for part in term.parts
     ):
         const = 0
-        sources: List[int] = []
+        parts: List[int] = []
         for part in term.parts:
             if isinstance(part, ConstTerm):
                 const |= codec.encode(part.label)
             else:
-                sources.append(var_index[part.var])
-        return const, tuple(sources), None
-    return 0, None, _term_expr(term, codec, var_index)
+                parts.append(graph.id_of(part.var))
+        return const, tuple(parts), None
+    return 0, None, _term_expr(term, codec, graph)
 
 
-def _term_expr(term: Term, codec: LabelCodec, var_index: Mapping[LabelVar, int]) -> str:
+def _term_expr(term: Term, codec: LabelCodec, graph) -> str:
     if isinstance(term, ConstTerm):
         return str(codec.encode(term.label))
     if isinstance(term, VarTerm):
-        return f"V[{var_index[term.var]}]"
+        return f"V[{graph.id_of(term.var)}]"
     if isinstance(term, JoinTerm):
-        return "(" + " | ".join(_term_expr(p, codec, var_index) for p in term.parts) + ")"
+        return "(" + " | ".join(_term_expr(p, codec, graph) for p in term.parts) + ")"
     if isinstance(term, MeetTerm):
-        return "(" + " & ".join(_term_expr(p, codec, var_index) for p in term.parts) + ")"
+        return "(" + " & ".join(_term_expr(p, codec, graph) for p in term.parts) + ")"
     raise CodecError(f"cannot compile {type(term).__name__} to an int expression")
 
 
@@ -449,18 +450,110 @@ def _compile_edges(
     ]
 
 
-def _sweep(block: Sequence[_CompiledEdge], values: Any) -> bool:
-    """One batched pass over an edge block; True when anything rose."""
-    changed = False
-    for target, const, sources, cover, fn in block:
-        if fn is None:
-            value = const
-            for source in sources:  # type: ignore[union-attr]
-                value |= values[source]
+def _flow(
+    edge: Tuple[int, Optional[Tuple[int, ...]], Optional[int], Optional[Callable]],
+    values: Any,
+) -> Optional[int]:
+    """The bits a general compiled edge carries, or None when covered."""
+    const, sources, cover, fn = edge
+    if fn is None:
+        value = const
+        for source in sources:  # type: ignore[union-attr]
+            value |= values[source]
+    else:
+        value = fn(values)
+    if cover is not None and value | cover == cover:
+        return None  # the join's constant part absorbs the flow
+    return value
+
+
+#: A block of compiled edges as the sweeps read it: target ids and source
+#: ids as flat int arrays, one entry per source of each join-shaped edge
+#: (``values[target] |= values[source]``; join distributes, so an edge
+#: ``a ⊔ b → t`` is the two copies ``a → t`` and ``b → t``), source -1
+#: marking a general edge (constant bits, a cover or a compiled
+#: expression), whose ``(const, sources, cover, fn)`` follow in block
+#: order; and the number of edges.  Flat arrays keep the sweep's reads
+#: sequential: the int objects in a list of per-edge tuples lie wherever
+#: the graph build allocated them.
+_Block = Tuple["array[int]", "array[int]", List[Any], int]
+
+
+def _block(edges: Sequence[_CompiledEdge]) -> _Block:
+    targets: List[int] = []
+    sources: List[int] = []
+    general: List[Any] = []
+    for target, const, edge_sources, cover, fn in edges:
+        if fn is None and cover is None and not const:
+            for source in edge_sources:  # type: ignore[union-attr]
+                targets.append(target)
+                sources.append(source)
         else:
-            value = fn(values)
-        if cover is not None and value | cover == cover:
-            continue  # the join's constant part absorbs the flow
+            targets.append(target)
+            sources.append(-1)
+            general.append((const, edge_sources, cover, fn))
+    return array("q", targets), array("q", sources), general, len(edges)
+
+
+def _build_plan(
+    compiled: Sequence[_CompiledEdge],
+    comp_edges: Sequence[Sequence[int]],
+    cyclic: Sequence[bool],
+    comp_vars: Sequence[Tuple[int, ...]],
+    order: Iterable[int],
+) -> List[Tuple[str, _Block, int]]:
+    """Blocks in schedule order for the components ``order`` names.
+
+    Consecutive acyclic components collapse into one ``("sweep", block,
+    components)`` entry: in topological order each of their edges reads
+    only final values, so a single batched pass over the concatenation is
+    exactly the per-component schedule (this is what removes the
+    per-component interpreter overhead at 1M singleton components).  A
+    cyclic component is one ``("iterate", block, size)`` entry.
+    """
+    plan: List[Tuple[str, _Block, int]] = []
+    run: List[_CompiledEdge] = []
+    run_size = 0
+    for comp_index in order:
+        edges = [compiled[i] for i in comp_edges[comp_index]]
+        if cyclic[comp_index]:
+            if run:
+                plan.append(("sweep", _block(run), run_size))
+                run, run_size = [], 0
+            plan.append(("iterate", _block(edges), len(comp_vars[comp_index])))
+        elif edges:
+            run.extend(edges)
+            run_size += 1
+    if run:
+        plan.append(("sweep", _block(run), run_size))
+    return plan
+
+
+def _sweep_once(block: _Block, values: Any) -> None:
+    """One batched pass over an acyclic edge block (every source final)."""
+    targets, sources, general, _edges = block
+    pending = iter(general)
+    for target, source in zip(targets, sources):
+        if source >= 0:
+            values[target] |= values[source]
+        else:
+            value = _flow(next(pending), values)
+            if value is not None:
+                values[target] |= value
+
+
+def _sweep(block: _Block, values: Any) -> bool:
+    """One batched pass over an edge block; True when anything rose."""
+    targets, sources, general, _edges = block
+    pending = iter(general)
+    changed = False
+    for target, source in zip(targets, sources):
+        if source >= 0:
+            value = values[source]
+        else:
+            value = _flow(next(pending), values)
+            if value is None:
+                continue
         current = values[target]
         merged = current | value
         if merged != current:
@@ -485,9 +578,10 @@ def _run_plan(
     components = 0
     for kind, block, size in plan:
         components += size if kind == "sweep" else 1
+        edges = block[3]
         if kind == "sweep":
-            _sweep(block, values)
-            pops += len(block)
+            _sweep_once(block, values)
+            pops += edges
             sweeps += 1
             max_passes = max(max_passes, 1)
             continue
@@ -500,7 +594,7 @@ def _run_plan(
                     "constraint solving did not converge; the lattice violates "
                     "the ascending chain condition"
                 )
-            pops += len(block)
+            pops += edges
             sweeps += 1
             if not _sweep(block, values):
                 break
@@ -515,43 +609,47 @@ def _run_plan(
 class PackedSystem:
     """A :class:`PropagationGraph` flattened into int arrays, built once.
 
-    Holds the codec, the per-edge compiled specs, the per-component edge
-    blocks, the topological *wave* of every component (the earliest round
-    in which all of its dependencies are final) and the weakly connected
-    *clusters* of the condensation -- the units the parallel scheduler
-    dispatches.  Instances cache on the graph (one encode per graph), so
-    repeated solves pay only the sweeps.
+    Variables keep the graph's dense ids, and the graph's per-id arrays
+    (edge sources and targets, components, component of each id) are
+    read as they are.  On top of them this holds the codec, the per-edge
+    compiled specs, the per-component edge blocks, the topological *wave*
+    of every component (the earliest round in which all of its
+    dependencies are final) and the weakly connected *clusters* of the
+    condensation -- the units the parallel scheduler dispatches.
+    Instances cache on the graph (one encode per graph), so repeated
+    solves pay only the sweeps.
     """
 
     def __init__(self, graph, codec: LabelCodec) -> None:
         start = time.perf_counter()
         self.graph = graph
         self.codec = codec
-        self.var_index: Dict[LabelVar, int] = {
-            var: index for index, var in enumerate(graph.variables)
-        }
+        encode = codec.encode
         #: Picklable per-edge specs (expressions kept as source strings so
         #: worker processes can compile them locally).
         self.edge_specs: List[
             Tuple[int, int, Optional[Tuple[int, ...]], Optional[int], Optional[str]]
         ] = []
-        for edge in graph.edges:
-            const, sources, expr = _term_spec(edge.lhs, codec, self.var_index)
-            cover = None if edge.cover is None else codec.encode(edge.cover)
+        for lhs, target, sources, cover in zip(
+            graph.edge_lhs, graph.edge_target, graph.edge_sources, graph.edge_cover
+        ):
+            if type(lhs) is VarTerm:
+                const, fast, expr = 0, sources, None
+            else:
+                const, fast, expr = _term_spec(lhs, sources, codec, graph)
             self.edge_specs.append(
-                (self.var_index[edge.target], const, sources, cover, expr)
+                (target, const, fast, None if cover is None else encode(cover), expr)
             )
+        edges_into = graph.edges_into
         #: In-edge indices of every component, in component order.
-        self.comp_edges: List[List[int]] = []
-        for component in graph.components:
-            in_edges: List[int] = []
-            for var in component:
-                in_edges.extend(graph.edges_into.get(var, ()))
-            self.comp_edges.append(in_edges)
-        self.comp_vars: List[Tuple[int, ...]] = [
-            tuple(self.var_index[var] for var in component)
+        self.comp_edges: List[List[int]] = [
+            edges_into[component[0]]
+            if len(component) == 1
+            else [index for vid in component for index in edges_into[vid]]
             for component in graph.components
         ]
+        #: Member ids of every component.
+        self.comp_vars: List[Tuple[int, ...]] = graph.components
         self.cyclic: List[bool] = list(graph._cyclic)
         self.height: int = graph._height
         self.wave_of: List[int] = self._waves()
@@ -559,7 +657,8 @@ class PackedSystem:
         self._wave_count: Optional[int] = None
         self._max_wave_width: Optional[int] = None
         self._compiled: Optional[List[_CompiledEdge]] = None
-        self._default_plan: Optional[List[Tuple[str, Any, int]]] = None
+        self._default_plan: Optional[List[Tuple[str, _Block, int]]] = None
+        self._decoded: Dict[int, Label] = {}
         self.encode_ms = (time.perf_counter() - start) * 1000.0
 
     # -- structure ----------------------------------------------------------
@@ -567,15 +666,16 @@ class PackedSystem:
     def _waves(self) -> List[int]:
         """Topological wave of each component: 0 for components with no
         cross-component in-edges, else 1 + the latest feeding wave."""
-        graph = self.graph
+        edge_sources = self.graph.edge_sources
+        component_of = self.graph.component_of
         waves: List[int] = []
         for comp_index, in_edges in enumerate(self.comp_edges):
             wave = 0
             for edge_index in in_edges:
-                for source in graph.edges[edge_index].sources:
-                    source_comp = graph.component_of[source]
-                    if source_comp != comp_index:
-                        wave = max(wave, waves[source_comp] + 1)
+                for source in edge_sources[edge_index]:
+                    source_comp = component_of[source]
+                    if source_comp != comp_index and waves[source_comp] >= wave:
+                        wave = waves[source_comp] + 1
             waves.append(wave)
         return waves
 
@@ -587,7 +687,8 @@ class PackedSystem:
         variables, so they solve independently -- the parallel dispatch
         unit.  Members are kept in (topological) component order.
         """
-        graph = self.graph
+        edge_sources = self.graph.edge_sources
+        component_of = self.graph.component_of
         parent = list(range(len(self.comp_edges)))
 
         def find(x: int) -> int:
@@ -596,12 +697,21 @@ class PackedSystem:
                 x = parent[x]
             return x
 
+        # Components arrive in topological order, so when a component's
+        # turn comes nothing has been merged into it yet: it is its own
+        # root, and each merge with a source's root keeps the lower one.
         for comp_index, in_edges in enumerate(self.comp_edges):
+            root = comp_index
             for edge_index in in_edges:
-                for source in graph.edges[edge_index].sources:
-                    a, b = find(graph.component_of[source]), find(comp_index)
-                    if a != b:
-                        parent[max(a, b)] = min(a, b)
+                for source in edge_sources[edge_index]:
+                    other = component_of[source]
+                    if parent[other] != other:
+                        other = find(other)
+                    if other < root:
+                        parent[root] = other
+                        root = other
+                    elif other > root:
+                        parent[other] = root
         members: Dict[int, List[int]] = defaultdict(list)
         for comp_index in range(len(self.comp_edges)):
             members[find(comp_index)].append(comp_index)
@@ -622,16 +732,21 @@ class PackedSystem:
             self._max_wave_width = max(widths.values(), default=0)
         return self._max_wave_width
 
-    def decode_assignment(self, values: Sequence[int]) -> Dict[LabelVar, Label]:
-        """``values`` (bit array in variable order) as an object assignment.
+    def decode_values(self, values: Sequence[int]) -> List[Label]:
+        """``values`` (bit array by id) as labels by id.
 
         Distinct bit patterns in a fixpoint are at most the carrier size,
-        so decoding memoises per pattern and the 100k-variable dict is
-        assembled by C-level ``zip``/``map`` instead of a Python loop.
+        so decoding memoises per pattern, across solves, and maps in C
+        (``map``); only a solve that reaches a new pattern scans for them.
         """
-        decode = self.codec.decode
-        table = {bits: decode(bits) for bits in set(values)}
-        return dict(zip(self.graph.variables, map(table.__getitem__, values)))
+        table = self._decoded
+        try:
+            return list(map(table.__getitem__, values))
+        except KeyError:
+            decode = self.codec.decode
+            for bits in set(values).difference(table):
+                table[bits] = decode(bits)
+            return list(map(table.__getitem__, values))
 
     # -- compilation --------------------------------------------------------
 
@@ -642,42 +757,25 @@ class PackedSystem:
 
     def plan(
         self, skip: Optional[Set[int]] = None, component_indices: Optional[Iterable[int]] = None
-    ) -> List[Tuple[str, Any, int]]:
-        """Compiled blocks in schedule order, merging acyclic runs.
+    ) -> List[Tuple[str, _Block, int]]:
+        """Compiled blocks in schedule order (see :func:`_build_plan`).
 
-        Consecutive acyclic components collapse into one ``("sweep", ...)``
-        block: in topological order each of their edges reads only final
-        values, so a single batched pass over the concatenation is exactly
-        the per-component schedule (this is what removes the per-component
-        interpreter overhead at 1M singleton components).  ``skip`` drops
-        pre-solved components; ``component_indices`` restricts (and sorts)
-        the schedule like :meth:`PropagationGraph.propagate`.
+        ``skip`` drops pre-solved components; ``component_indices``
+        restricts (and sorts) the schedule like
+        :meth:`PropagationGraph.propagate`.
         """
         if skip is None and component_indices is None and self._default_plan is not None:
             return self._default_plan
-        order = (
+        order: Iterable[int] = (
             range(len(self.comp_edges))
             if component_indices is None
             else sorted(component_indices)
         )
-        compiled = self.compiled()
-        plan: List[Tuple[str, Any, int]] = []
-        run: List[_CompiledEdge] = []
-        run_size = 0
-        for comp_index in order:
-            if skip is not None and comp_index in skip:
-                continue
-            block = [compiled[i] for i in self.comp_edges[comp_index]]
-            if self.cyclic[comp_index]:
-                if run:
-                    plan.append(("sweep", run, run_size))
-                    run, run_size = [], 0
-                plan.append(("iterate", block, len(self.comp_vars[comp_index])))
-            elif block:
-                run.extend(block)
-                run_size += 1
-        if run:
-            plan.append(("sweep", run, run_size))
+        if skip is not None:
+            order = [comp_index for comp_index in order if comp_index not in skip]
+        plan = _build_plan(
+            self.compiled(), self.comp_edges, self.cyclic, self.comp_vars, order
+        )
         if skip is None and component_indices is None:
             self._default_plan = plan
         return plan
@@ -717,26 +815,6 @@ def _worker_init(payload: Dict[str, Any]) -> None:
     _WORKER_STATE = payload
 
 
-def _worker_plan(state: Dict[str, Any], comp_ids: Sequence[int]) -> List[Tuple[str, Any, int]]:
-    compiled = state["compiled"]
-    plan: List[Tuple[str, Any, int]] = []
-    run: List[_CompiledEdge] = []
-    run_size = 0
-    for comp_index in comp_ids:
-        block = [compiled[i] for i in state["comp_edges"][comp_index]]
-        if state["cyclic"][comp_index]:
-            if run:
-                plan.append(("sweep", run, run_size))
-                run, run_size = [], 0
-            plan.append(("iterate", block, len(state["comp_vars"][comp_index])))
-        elif block:
-            run.extend(block)
-            run_size += 1
-    if run:
-        plan.append(("sweep", run, run_size))
-    return plan
-
-
 def _worker_solve(
     task: Tuple[Sequence[int], Sequence[Tuple[int, int]]],
 ) -> Tuple[List[Tuple[int, int]], Tuple[int, int, int, int]]:
@@ -751,7 +829,10 @@ def _worker_solve(
     state = _WORKER_STATE
     comp_ids, floors = task
     values: Any = defaultdict(int, floors)
-    counters = _run_plan(_worker_plan(state, comp_ids), values, state["height"])
+    plan = _build_plan(
+        state["compiled"], state["comp_edges"], state["cyclic"], state["comp_vars"], comp_ids
+    )
+    counters = _run_plan(plan, values, state["height"])
     results: List[Tuple[int, int]] = []
     for comp_index in comp_ids:
         for var_index in state["comp_vars"][comp_index]:
@@ -835,7 +916,7 @@ def solve_packed(
     start = time.perf_counter()
     with recorder.span(
         "solver.solve",
-        edges=len(graph.edges),
+        edges=len(graph.edge_target),
         variables=len(graph.variables),
         backend="packed",
     ):
@@ -855,7 +936,7 @@ def solve_packed(
 
         values: List[int] = [0] * len(graph.variables)
         for var, label in (overrides or {}).items():
-            index = system.var_index.get(var)
+            index = graph.id_of(var)
             if index is not None:
                 values[index] |= codec.encode(label)
         skip: Optional[Set[int]] = None
@@ -863,8 +944,8 @@ def solve_packed(
             from repro.analysis.presolve import presolve_graph
 
             reduction = presolve_graph(graph, overrides)
-            for var, label in reduction.values.items():
-                values[system.var_index[var]] = codec.encode(label)
+            for index, label in reduction.by_id.items():
+                values[index] = codec.encode(label)
             skip = reduction.resolved_components
             stats.presolve_resolved_vars = reduction.resolved_count
             stats.presolve_pruned_edges = reduction.pruned_edges
@@ -895,8 +976,9 @@ def solve_packed(
             stats.edges_visited = len(system.edge_specs)
 
         with recorder.span("solver.decode"):
-            assignment = system.decode_assignment(values)
-        conflicts = [c for c in graph.check_conflicts(assignment) if c is not None]
+            labels = system.decode_values(values)
+        conflicts = [c for c in graph.check_conflicts(labels) if c is not None]
+        assignment = graph.assignment_of(labels)
     stats.solve_ms = (time.perf_counter() - start) * 1000.0
     if recorder.enabled:
         recorder.count("solver.solves")
@@ -910,7 +992,7 @@ def solve_packed(
         assignment,
         conflicts,
         iterations=stats.worklist_pops,
-        propagation_count=len(graph.edges),
+        propagation_count=len(graph.edge_target),
         check_count=len(graph.checks),
     )
     solution.stats = stats

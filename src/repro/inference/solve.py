@@ -50,7 +50,6 @@ from repro.inference.terms import (
     MeetTerm,
     Term,
     VarTerm,
-    evaluate,
 )
 from repro.lattice.base import Label, Lattice
 
@@ -241,16 +240,16 @@ def solve_worklist(lattice: Lattice, constraints: List[Constraint]) -> Solution:
     from repro.inference.graph import PropagationGraph
 
     graph = PropagationGraph(lattice, constraints)
-    assignment = graph.fresh_assignment()
-    solution = Solution(lattice, assignment)
-    solution.propagation_count = len(graph.edges)
+    values = graph.fresh_assignment()
+    solution = Solution(lattice)
+    solution.propagation_count = len(graph.edge_target)
     solution.check_count = len(graph.checks)
 
-    pending: List[int] = list(range(len(graph.edges)))
+    pending: List[int] = list(range(len(graph.edge_target)))
     queued: Set[int] = set(pending)
     # Worklist Kleene iteration from ⊥.  Monotone + finite lattice =>
     # termination; the bound below only guards against a broken lattice.
-    budget = (len(graph.edges) + 1) * (len(assignment) + 1) * _height_bound(lattice)
+    budget = (len(pending) + 1) * (len(values) + 1) * _height_bound(lattice)
     while pending:
         index = pending.pop()
         queued.discard(index)
@@ -260,23 +259,25 @@ def solve_worklist(lattice: Lattice, constraints: List[Constraint]) -> Solution:
                 "constraint solving did not converge; the lattice violates the "
                 "ascending chain condition"
             )
-        edge = graph.edges[index]
-        value = evaluate(edge.lhs, lattice, assignment)
-        if edge.cover is not None and lattice.leq(value, edge.cover):
+        value = graph.edge_value(index, values)
+        cover = graph.edge_cover[index]
+        if cover is not None and lattice.leq(value, cover):
             continue  # the join's constant part absorbs the flow
-        current = assignment[edge.target]
+        target = graph.edge_target[index]
+        current = values[target]
         if not lattice.leq(value, current):
-            assignment[edge.target] = lattice.join(current, value)
-            for dependent in graph.dependents.get(edge.target, ()):  # re-examine
+            values[target] = lattice.join(current, value)
+            for dependent in graph.dependents[target]:  # re-examine
                 if dependent not in queued:
                     queued.add(dependent)
                     pending.append(dependent)
 
     solution.conflicts = [
         conflict
-        for conflict in graph.check_conflicts(assignment)
+        for conflict in graph.check_conflicts(values)
         if conflict is not None
     ]
+    solution.assignment = graph.assignment_of(values)
     return solution
 
 

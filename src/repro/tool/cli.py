@@ -149,7 +149,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "with --infer, also print constraint-solver statistics (SCC "
-            "condensation, worklist pops, passes per component, solve time)"
+            "condensation, worklist pops, passes per component, build and "
+            "solve time)"
         ),
     )
     parser.add_argument(

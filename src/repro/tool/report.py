@@ -117,7 +117,10 @@ def format_report(
                 f"{stats.worklist_pops}, max passes per component: "
                 f"{stats.max_passes}"
             )
-            lines.append(f"  solve time: {stats.solve_ms:.2f} ms")
+            lines.append(
+                f"  build time: {stats.build_ms:.2f} ms, "
+                f"solve time: {stats.solve_ms:.2f} ms"
+            )
     if report.ifc_result is not None and report.ifc_result.declassifications:
         lines.append(
             f"-- {len(report.ifc_result.declassifications)} audited release(s) --"

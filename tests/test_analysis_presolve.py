@@ -177,7 +177,9 @@ def test_presolve_respects_overrides():
     program = parse_program(deep_dataflow_program(10, chains=2))
     generation = generate_constraints(program, lattice)
     graph = PropagationGraph(lattice, generation.constraints)
-    var = next(iter(graph.dependents)) if graph.dependents else None
+    var = next(
+        (graph.variables[ids[0]] for ids in graph.edge_sources if ids), None
+    )
     if var is None:
         pytest.skip("no propagation edges in this system")
     overrides = {var: lattice.top}

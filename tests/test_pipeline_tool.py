@@ -135,6 +135,14 @@ class TestReportRendering:
         assert payload["timing_ms"]["solve"] == report.timing.solve_ms
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_graph_build_time_reported(self):
+        report = check_source(deep_dataflow_program(8), infer=True)
+        stats = report.inference_result.solution.stats
+        assert stats.build_ms > 0.0
+        assert "build time:" in format_report(report, solver_stats=True)
+        payload = json.loads(json.dumps(report_to_dict(report)))
+        assert payload["inference"]["solver"]["build_ms"] == stats.build_ms
+
 
 class TestCli:
     def write(self, tmp_path, name, content):

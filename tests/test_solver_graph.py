@@ -75,7 +75,7 @@ class TestGraphStructure:
         supply = VarSupply()
         variables, constraints = _chain(lattice, supply, ["a", "b", "c", "d"])
         graph = PropagationGraph(lattice, constraints)
-        positions = [graph.component_of[var] for var in variables]
+        positions = [graph.component_of_var(var) for var in variables]
         assert positions == sorted(positions)
         assert len(graph.components) == len(variables)
         assert graph.cyclic_component_count == 0
@@ -91,9 +91,9 @@ class TestGraphStructure:
             Constraint(VarTerm(c), VarTerm(d)),
         ]
         graph = PropagationGraph(lattice, constraints)
-        assert graph.component_of[b] == graph.component_of[c]
-        assert graph.component_of[a] < graph.component_of[b]
-        assert graph.component_of[c] < graph.component_of[d]
+        assert graph.component_of_var(b) == graph.component_of_var(c)
+        assert graph.component_of_var(a) < graph.component_of_var(b)
+        assert graph.component_of_var(c) < graph.component_of_var(d)
         assert graph.cyclic_component_count == 1
         assert graph.largest_component == 2
 
@@ -401,3 +401,26 @@ class TestSolverRebase:
         solver.resolve({variables[0]: "high"})
         with pytest.raises(ValueError):
             solver.adopt(cold)
+
+
+class TestBuildTime:
+    """`SolverStats.build_ms`: the graph build, beside `solve_ms`."""
+
+    def test_one_shot_solve_reports_its_build(self):
+        lattice = get_lattice("two-point")
+        variables, constraints = _chain(lattice, VarSupply(), ["a", "b", "c"])
+        solution = solve(lattice, constraints)
+        assert solution.stats.build_ms > 0.0
+        assert solution.stats.build_ms == solution.graph.build_ms
+        assert solution.stats.as_dict()["build_ms"] == solution.stats.build_ms
+        assert "build " in solution.stats.describe()
+
+    def test_persistent_solver_reports_builds_not_pin_edits(self):
+        lattice = get_lattice("two-point")
+        variables, constraints = _chain(lattice, VarSupply(), ["a", "b", "c"])
+        solver = Solver(lattice, constraints)
+        assert solver.solve().stats.build_ms == solver.graph.build_ms > 0.0
+        # A pin edit reuses the graph: nothing was built.
+        assert solver.resolve({variables[0]: "high"}).stats.build_ms == 0.0
+        rebased = solver.rebase(constraints[:1])
+        assert rebased.stats.build_ms == solver.graph.build_ms > 0.0

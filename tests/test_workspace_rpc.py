@@ -403,9 +403,10 @@ class TestServedAnswers:
         from repro.tool.report import report_to_dict
 
         expected = report_to_dict(report)
-        # Wall-clock timing is the one legitimately nondeterministic field.
+        # Wall-clock timings are the legitimately nondeterministic fields.
         for payload in (served, expected):
             payload.get("inference", {}).get("solver", {}).pop("solve_ms", None)
+            payload.get("inference", {}).get("solver", {}).pop("build_ms", None)
         for key in ("ok", "diagnostics", "inference", "analysis"):
             assert served.get(key) == expected.get(key)
 
